@@ -4,7 +4,8 @@
 
 Run from the repository root; the library is imported from ``src/``.
 With ``--trace 0`` the run times the workload's calls with nothing
-installed and reports the end-to-end metrics.  With ``--trace 1`` it
+installed, interleaved with a fixed reference computation that times the
+machine (reference.py), and reports the end-to-end metrics.  With ``--trace 1`` it
 alternates untraced and traced passes and reports the per-layer metrics
 and the tracing overhead.  Human-readable lines come first; the last line
 of standard output is one JSON object.  See bench/README.md.
@@ -13,6 +14,7 @@ of standard output is one JSON object.  See bench/README.md.
 from __future__ import annotations
 
 import argparse
+import bisect
 import ctypes
 import glob
 import json
@@ -29,12 +31,19 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 BENCH = os.path.dirname(os.path.abspath(__file__))
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc mallopt parameters, and the values its dynamic mmap threshold
+# settles at once a 32 MiB block has been freed (the 64-bit maximum).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD, MMAP_THRESHOLD = 64 << 20, 32 << 20
 SETUP_REPEATS = 3
+# The reference computation runs before a call once this many seconds
+# have passed since it last ran.
+REF_INTERVAL_S = 0.25
 
 # End-to-end metrics reported for every workload, with units.
 E2E_UNITS = {
     "setup_s": "s",
-    "xrt": "audio_s/s",
+    "xrt_norm": "audio_s/s",
     "success_ratio": "fraction",
     "peak_rss_mb": "MB",
     "recovered_ratio": "fraction",
@@ -42,6 +51,8 @@ E2E_UNITS = {
 
 # Workload-specific figures printed in the human-readable report.
 DETAIL_UNITS = {
+    "wall_xrt": "audio_s/s",
+    "reference_s": "s",
     "analyze_xrt": "audio_s/s",
     "fre_xrt": "audio_s/s",
     "tim_xrt": "audio_s/s",
@@ -94,6 +105,21 @@ def git_commit(root):
     return "unknown"
 
 
+def pin_malloc():
+    """Fix glibc's mmap and trim thresholds, so that a call's cost does not
+    depend on the process's history.  Left dynamic, the threshold starts at
+    128 KiB and rises only when a larger mmapped block is freed; until some
+    input happens to do that, every temporary of ~1 MiB (segmentation of a
+    64 Hz voice makes one per period) is mmapped and faulted in afresh,
+    which made the same call run at half or twice the speed from one
+    process to the next.  Returns whether glibc took the settings."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)) and bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD))
+
+
 def blas_threads(np):
     """Thread count OpenBLAS reports, or the pinned variable if it cannot be asked."""
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -107,7 +133,7 @@ def blas_threads(np):
     return int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
-def environment(args, np, scipy):
+def environment(args, np, scipy, malloc_pinned):
     return {
         "commit": git_commit(REPO),
         "seed": args.seed,
@@ -116,6 +142,7 @@ def environment(args, np, scipy):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "malloc_pinned": malloc_pinned,
     }
 
 
@@ -124,40 +151,62 @@ def environment(args, np, scipy):
 # ---------------------------------------------------------------------------
 
 class Ledger:
-    """Per-call outcomes of one run."""
+    """Per-call outcomes of one run.  An operation is one call of the
+    workload's list; the run repeats it for timing, and it counts as failed
+    if any of its attempts failed, so `attempted` and `failed` do not
+    depend on how many passes fit in the run."""
 
-    def __init__(self):
-        self.walls = defaultdict(list)  # (kind, item) -> wall seconds per attempt
+    def __init__(self, ref=None):
+        self.attempts = defaultdict(list)  # (kind, item) -> (start, wall seconds) per attempt
         self.oks = defaultdict(list)  # (kind, item) -> success per attempt
         self.audio = {}  # (kind, item) -> audio seconds per call
         self.errors = Counter()  # (kind, item, exception class) -> count
         self.wrong = 0  # calls whose output failed a check
+        self.refs = []  # (start, wall seconds) of each reference computation
+        self._ref = ref
+        self._last_ref = -math.inf
+
+    def calibrate(self, force=False):
+        """Time the reference computation if it is due."""
+        if self._ref is not None and (force or time.perf_counter() - self._last_ref >= REF_INTERVAL_S):
+            start = time.perf_counter()
+            self.refs.append((start, self._ref.run()))
+            self._last_ref = time.perf_counter()
 
     @property
     def attempted(self):
-        return sum(len(v) for v in self.oks.values())
+        return len(self.oks)
 
     @property
     def failed(self):
-        return sum(v.count(False) for v in self.oks.values())
+        return sum(1 for v in self.oks.values() if not all(v))
 
-    def xrt(self, kinds=None):
+    def xrt(self, kinds=None, normalized=False):
         """Audio seconds completed per wall second: each call weighs once,
-        at its median wall time, so a partial last pass does not change the mix."""
+        at its median wall time, so a partial last pass does not change the
+        mix.  `normalized` first divides each attempt's wall time by the
+        machine's slowdown around it (see `slowdown`)."""
         keys = [k for k in self.oks if kinds is None or k[0] in kinds]
         done = sum(self.audio[k] * statistics.mean(self.oks[k]) for k in keys)
-        wall = sum(statistics.median(self.walls[k]) for k in keys)
+        if normalized:
+            starts = [t for t, _ in self.refs]
+            wall = sum(statistics.median(w / self.slowdown(starts, t) for t, w in self.attempts[k]) for k in keys)
+        else:
+            wall = sum(statistics.median(w for _, w in self.attempts[k]) for k in keys)
         return done / wall if wall > 0 else math.nan
 
-    def success_ratio(self):
-        """Mean over the list's calls of each call's share of successful
-        attempts, so a partial last pass does not change it either."""
-        return statistics.mean(statistics.mean(v) for v in self.oks.values())
+    def slowdown(self, starts, t):
+        """Mean time of the reference computations just before and just
+        after the attempt that started at `t`, over the nominal time."""
+        i = bisect.bisect_right(starts, t)
+        near = [self.refs[j][1] for j in (i - 1, i) if 0 <= j < len(self.refs)]
+        return statistics.mean(near) / self._ref.nominal_s
 
 
 def run_call(call, outputs, ledger):
     key = (call.kind, call.item)
     outputs[key] = None
+    ledger.calibrate()
     t0 = time.perf_counter()
     try:
         result = call.run(outputs)
@@ -177,7 +226,7 @@ def run_call(call, outputs, ledger):
         except AssertionError as exc:  # the workload's output checks
             ok, error = False, f"CheckFailed: {exc}"
             ledger.wrong += 1
-    ledger.walls[key].append(wall)
+    ledger.attempts[key].append((t0, wall))
     ledger.oks[key].append(ok)
     ledger.audio[key] = call.audio_s
     if error is not None:
@@ -217,6 +266,7 @@ def main(argv=None):
         return 2
     for var in BLAS_ENV:
         os.environ[var] = "1"
+    malloc_pinned = pin_malloc()
     for path in (SRC, BENCH):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -229,6 +279,7 @@ def main(argv=None):
 
     import voicing.segmentation  # noqa: F401
     import voicing.synthesis  # noqa: F401
+    import reference
     import tracer as tracing
     import workloads
 
@@ -241,9 +292,9 @@ def main(argv=None):
         setup_times.append(time.perf_counter() - t0)
     setup_s = import_s + statistics.median(setup_times)
 
-    env = environment(args, np, scipy)
+    env = environment(args, np, scipy, malloc_pinned)
     lines = [f"env {json.dumps(env)}"]
-    ledger = Ledger()
+    ledger = Ledger(None if args.trace else reference.Reference())
     t_start = time.perf_counter()
 
     def out_of_time():
@@ -282,21 +333,24 @@ def main(argv=None):
         while not out_of_time():
             _, complete = run_pass(workload, ledger, stop=out_of_time)
             passes += complete
+        ledger.calibrate(force=True)
         accuracy = workload.accuracy(first)
-        detail = {kind_metric: ledger.xrt({kind}) for kind, kind_metric in workload.kinds.items()}
+        detail = {"wall_xrt": ledger.xrt(), "reference_s": statistics.median(r for _, r in ledger.refs)}
+        detail.update({kind_metric: ledger.xrt({kind}, normalized=True) for kind, kind_metric in workload.kinds.items()})
         detail["failed_ratio"] = ledger.failed / ledger.attempted
         detail.update({k: v for k, v in accuracy.items() if k in DETAIL_UNITS})
         metrics = {
             "setup_s": setup_s,
-            "xrt": ledger.xrt(),
-            "success_ratio": ledger.success_ratio(),
+            "xrt_norm": ledger.xrt(normalized=True),
+            "success_ratio": 1.0 - ledger.failed / ledger.attempted,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "recovered_ratio": accuracy["recovered_ratio"],
         }
         units = E2E_UNITS
         lines.append(
             f"workload {args.workload} seed {args.seed} trace 0 full_passes {passes} "
-            f"attempted {ledger.attempted} failed {ledger.failed} "
+            f"calls {sum(len(v) for v in ledger.oks.values())} references {len(ledger.refs)} "
+            f"operations {ledger.attempted} failed {ledger.failed} "
             f"setup: import {import_s:.3f} s, builds {' '.join(f'{s:.3f}' for s in setup_times)} s"
         )
         lines += [f"  {name} {value:.6g} {DETAIL_UNITS[name]}" for name, value in detail.items()]

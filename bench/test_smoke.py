@@ -58,6 +58,16 @@ def test_forced_exception_counts_as_failed(capsys, monkeypatch):
     assert any("RuntimeError" in line for line in report)
 
 
+def test_counts_do_not_depend_on_passes(capsys):
+    argv = ["--workload", "render_engines", "--seed", "3", "--trace", "0", "--scale", "0.01"]
+    counts = []
+    for seconds in ("0", "2"):
+        assert run.main(argv + ["--seconds", seconds]) == 0
+        result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        counts.append((result["attempted"], result["failed"]))
+    assert counts[0] == counts[1]
+
+
 def test_render_engines_counts_glo_failures(capsys):
     result, report = bench(capsys, "render_engines", 0)
     assert result["failed"] > 0
