@@ -3,7 +3,6 @@ LPC magnitude envelopes, and the ODFT parametric front-end."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,7 +232,9 @@ def fit_lpc_envelope(
 def _poles_to_params(roots, order, rmax):
     """Pack pole locations into the (logit radius, angle) vector used by
     the refinement stage: order//2 conjugate pairs plus an optional real
-    pole.  Leftover real roots are approximated by near-real pairs."""
+    pole.  Leftover real roots are approximated by near-real pairs on
+    their own side of the real axis: a pair that a fit settled at angle
+    pi re-roots as two negative reals and must be packed back there."""
     npairs = order // 2
     nreal = order % 2
     upper = sorted(
@@ -244,7 +245,7 @@ def _poles_to_params(roots, order, rmax):
     while len(pairs) < npairs and len(reals) >= 2:
         r1, r2 = reals.pop(0), reals.pop(0)
         mag = np.sqrt(max(abs(r1) * abs(r2), 1e-6))
-        pairs.append(mag * np.exp(1j * 0.02))
+        pairs.append(mag * np.exp(1j * (0.02 if r1 + r2 >= 0 else np.pi - 0.02)))
     while len(pairs) < npairs:
         pairs.append(0.3 * np.exp(1j * (0.3 + 0.5 * len(pairs))))
     pairs = pairs[:npairs]
@@ -393,13 +394,6 @@ def _solve_yule_walker(r, order):
             return phi
         load = 1e-12 if load == 0.0 else load * 100.0
     raise ValueError("autocorrelation system could not be solved")
-
-
-def _response_magnitude(coeffs, gain, omega):
-    denom = np.ones_like(omega, dtype=np.complex128)
-    for i, a in enumerate(coeffs, start=1):
-        denom += a * np.exp(-1j * omega * i)
-    return gain / np.abs(denom)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +714,10 @@ def analyze_frames(
     every harmonic, but never below the median bin magnitude that the
     rounding noise of a `source_bit_depth`-bit source leaves in the frame.
     The envelope is fitted at order min(`lpc_order`, 2 * lines): poles
-    beyond one pair per line are constrained by nothing.
+    beyond one pair per line are constrained by nothing.  Each voiced
+    frame's fit starts from the previous voiced frame's model when that
+    model has the same order; the first frame of a voiced run, and any
+    frame whose order differs from its predecessor's, starts cold.
     """
     n = int(frame_len)
     hop = n // 2 if hop is None else int(hop)
@@ -787,7 +784,10 @@ def analyze_frames(
             refined[m] = float(np.mean(parts))
 
     frames = []
+    prev_envelope = None
     for m, off in enumerate(offsets):
+        # the previous frame's model, if that frame ended up voiced
+        warm, prev_envelope = prev_envelope, None
         if omega[m] <= 0.0:
             frames.append(FrameParams(frame_index=m, voiced=False))
             continue
@@ -813,11 +813,18 @@ def analyze_frames(
         count = int(solid[-1]) + 1
         amps, phases, snr_db, k_star = amps[:count], phases[:count], snr_db[:count], k_star[:count]
         try:
-            # one pole pair per line at most: further poles are unconstrained
-            envelope = fit_lpc_envelope(amps, w0, min(lpc_order, 2 * count))
+            # one pole pair per line at most: further poles are unconstrained;
+            # a warm start of another order is ignored by the fitter
+            envelope = fit_lpc_envelope(
+                amps,
+                w0,
+                min(lpc_order, 2 * count),
+                warm_start=None if warm is None else warm.coefficients,
+            )
         except ValueError:
             frames.append(FrameParams(frame_index=m, voiced=False))
             continue
+        prev_envelope = envelope
         frames.append(
             FrameParams(
                 frame_index=m,

@@ -141,18 +141,19 @@ class _ParamTrack:
 # ---------------------------------------------------------------------------
 
 def _inject_harmonic(spectrum, c, omega, n, half_width):
-    """Add one harmonic's windowed images into the lower-half ODFT bins."""
-    half = n // 2
-    k_center = int(round(omega * n / TWO_PI - 0.5))
-    lo = max(0, k_center - half_width)
-    hi = min(half - 1, k_center + half_width)
-    if hi < lo:
-        return
-    k = np.arange(lo, hi + 1)
+    """Add every harmonic's windowed images into the lower-half ODFT bins.
+
+    `c` and `omega` hold one complex amplitude and one angular frequency
+    per harmonic.  Each harmonic writes the 2 * half_width + 1 bins around
+    its peak that lie in [0, n/2); the sums run in harmonic order.
+    """
+    k_center = np.round(omega * n / TWO_PI - 0.5).astype(np.int64)
+    k = k_center[:, None] + np.arange(-half_width, half_width + 1)
     nu = TWO_PI * (k + 0.5) / n
-    spectrum[k] += c * sine_window_spectrum(n, nu - omega) + np.conj(c) * sine_window_spectrum(
-        n, nu + omega
-    )
+    c, omega = c[:, None], omega[:, None]
+    images = c * sine_window_spectrum(n, nu - omega) + np.conj(c) * sine_window_spectrum(n, nu + omega)
+    inside = (k >= 0) & (k < n // 2)
+    np.add.at(spectrum, k[inside], images[inside])
 
 
 def synth_fre(plan: SynthesisPlan, *, bins_per_harmonic: int = 9) -> AudioBuffer:
@@ -217,8 +218,7 @@ def synth_fre(plan: SynthesisPlan, *, bins_per_harmonic: int = 9) -> AudioBuffer
         c = 0.5 * amps[:count] * np.exp(1j * (phases - np.pi / 2))
 
         spec = np.zeros(n, dtype=np.complex128)
-        for i in range(count):
-            _inject_harmonic(spec, c[i], omega_l[i], n, half_width)
+        _inject_harmonic(spec, c, omega_l, n, half_width)
         spec[n // 2 :] = np.conj(spec[: n // 2][::-1])
         frame = inverse_odft(spec).real
         off = (index + 1) * hop

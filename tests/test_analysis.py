@@ -134,6 +134,18 @@ class TestLpcEnvelope:
         err_db = np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))
         assert np.median(err_db) <= 3.0
 
+    def test_warm_start_keeps_pair_at_nyquist(self):
+        # a fitted pair at angle pi re-roots as a double negative real root;
+        # warm-started from its own model, the fit must stay where it is
+        poles = [0.96 * np.exp(2j * np.pi * 700 / RATE), 0.94 * np.exp(2j * np.pi * 1900 / RATE)]
+        poles += [np.conj(p) for p in poles] + [-0.9, -0.9]
+        model = LpcModel(6, np.real(np.poly(poles))[1:], 1.0)
+        omega0 = 2 * np.pi * 110.0 / RATE
+        omega_l = np.arange(1, 100) * omega0
+        mags = model.magnitude(omega_l)
+        fit = fit_lpc_envelope(mags, omega0, 6, warm_start=model.coefficients)
+        assert np.max(np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))) <= 0.01
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             fit_lpc_envelope(np.zeros(10), 0.03, 12)
@@ -325,6 +337,41 @@ class TestAnalyzeFrames:
         voiced = [f for f in analyze_frames(AudioBuffer(x, RATE), 1024) if f.voiced]
         assert len(voiced) >= 15
         assert {f.nrd.size for f in voiced} == {8}
+
+    def test_envelope_fit_warm_starts_within_voiced_runs(self, monkeypatch):
+        import voicing.analysis as analysis_module
+
+        fits = []
+        cold_fit = analysis_module.fit_lpc_envelope
+
+        def recording_fit(*args, warm_start=None, **kwargs):
+            model = cold_fit(*args, warm_start=warm_start, **kwargs)
+            fits.append((warm_start, model))
+            return model
+
+        monkeypatch.setattr(analysis_module, "fit_lpc_envelope", recording_fit)
+        # a stationary 6-line vowel on the transform's grid, twice, with
+        # digital silence between the two voiced runs
+        amps = np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12])
+        vowel = make_harmonic_signal(6 * RATE / 1024, amps, [0.0, 0.3, 0.1, 0.6, 0.25, 0.8], 6144)
+        x = np.concatenate([vowel, np.zeros(4096), vowel])
+        frames = analyze_frames(AudioBuffer(x, RATE), 1024)
+        warm_of = {id(model): warm for warm, model in fits}
+
+        runs = warm = 0
+        for prev, fr in zip([None] + frames[:-1], frames):
+            if not fr.voiced:
+                continue
+            got = warm_of[id(fr.envelope)]
+            if prev is None or not prev.voiced:
+                runs += 1
+                assert got is None
+            elif prev.envelope.order == fr.envelope.order:
+                warm += 1
+                assert got is not None
+                np.testing.assert_array_equal(got, prev.envelope.coefficients)
+        assert runs == 2
+        assert warm >= 15
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -5,12 +5,21 @@ import pytest
 from scipy.signal import resample
 
 from voicing.analysis import FrameParams, analyze_frames, fit_lpc_envelope, wrap_cycles
-from voicing.dsp import AudioBuffer, all_pole_filter, dft, inverse_odft, make_sqrt_shifted_hanning, odft
+from voicing.dsp import (
+    AudioBuffer,
+    all_pole_filter,
+    dft,
+    inverse_odft,
+    make_sqrt_shifted_hanning,
+    odft,
+    sine_window_spectrum,
+)
 from voicing.segmentation import SeedRegion, auto_seed, segment_track
 from voicing.synthesis import (
     GlottalPulse,
     LfParams,
     SynthesisPlan,
+    _inject_harmonic,
     _period_wave,
     _tilt_compensated_model,
     compare_engines,
@@ -271,6 +280,25 @@ class TestFre:
         diff = np.abs(nrd_a - nrd_b)
         diff = np.minimum(diff, 1.0 - diff)
         assert np.max(diff) <= 1e-3
+
+    def test_injection_matches_per_harmonic_sum(self):
+        # reference: each harmonic added on its own, bins clipped to [0, n/2)
+        n, half_width = 1024, 4
+        rng = np.random.default_rng(11)
+        for f0 in (40.0, 61.0, 130.0, 499.0):
+            omega0 = 2 * np.pi * f0 / RATE
+            count = int(np.floor(0.999 * np.pi / omega0))
+            omega = np.arange(1, count + 1) * omega0
+            c = rng.uniform(0.01, 1.0, count) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+            want = np.zeros(n, dtype=np.complex128)
+            for cl, wl in zip(c, omega):
+                k_center = int(round(wl * n / (2 * np.pi) - 0.5))
+                k = np.arange(max(0, k_center - half_width), min(n // 2 - 1, k_center + half_width) + 1)
+                nu = 2 * np.pi * (k + 0.5) / n
+                want[k] += cl * sine_window_spectrum(n, nu - wl) + np.conj(cl) * sine_window_spectrum(n, nu + wl)
+            got = np.zeros(n, dtype=np.complex128)
+            _inject_harmonic(got, c, omega, n, half_width)
+            np.testing.assert_array_equal(got, want)
 
     def test_edges_at_full_gain(self):
         # f0 at 4 periods per hop, so every hop-long stretch of a stationary
