@@ -20,6 +20,9 @@ from .dsp import (
 
 TWO_PI = 2.0 * np.pi
 _POLE_RMAX = 0.998  # default cap on fitted pole radii
+_ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
+_VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
+_HARMONIC_SOLVE_ITERATIONS = 5  # relaxation rounds of the joint harmonic solve
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,6 @@ def fit_lpc_envelope(
     order: int,
     *,
     floor_db: float = -60.0,
-    grid_size: int = 2048,
     thorough: bool = False,
     line_weights=None,
     warm_start=None,
@@ -181,7 +183,7 @@ def fit_lpc_envelope(
     active = mags > floor  # lines raised onto the floor are not measurements
     if not np.any(active):
         active = np.ones_like(log_target, dtype=bool)
-    grid = np.arange(grid_size + 1) * np.pi / grid_size
+    grid = np.arange(_ENVELOPE_GRID + 1) * np.pi / _ENVELOPE_GRID
     log_s = np.interp(grid, omega_l, log_target)
 
     # stage 1: autocorrelation-method fit of the resampled line spectrum
@@ -191,7 +193,7 @@ def fit_lpc_envelope(
         restarts, budget = 0, 300
     else:
         power = np.exp(2.0 * log_s)
-        r = np.fft.irfft(power, 2 * grid_size)[: order + 1]
+        r = np.fft.irfft(power, 2 * _ENVELOPE_GRID)[: order + 1]
         coeffs = -_solve_yule_walker(r, order)
         restarts = 5 if thorough else 0
         budget = 1500 if thorough else 400
@@ -282,48 +284,62 @@ def _refine_pole_fit(
 ):
     """Weighted least-squares fit of the log magnitude at the harmonic
     lines, parameterized by pole radii (through a sigmoid, so stability is
-    structural) and angles.  Returns (coefficients, gain)."""
+    structural) and angles.  Returns (coefficients, gain).
+
+    Every shape is solved by MINPACK's Levenberg-Marquardt.  LM needs at
+    least as many residuals as parameters, so when a frame has fewer lines
+    than parameters the residual vector and the Jacobian are padded with
+    zero rows, which leave the least-squares problem unchanged.  MINPACK
+    asks for the Jacobian at the point it evaluated last, so the Jacobian
+    reuses that point's poles and factors."""
     from scipy.optimize import least_squares
 
     order = init_coeffs.size
     npairs = order // 2
     nreal = order % 2
+    lines = omega_l.size
+    rows = max(lines, order + 1)  # one parameter per pole, plus the log gain
     sw = np.sqrt(weights)
     expw = np.exp(-1j * omega_l)
+    last = {}  # the point evaluated last, and its (log_den, poles, factors)
 
     def log_den(params):
-        poles = _params_to_poles(params, order, rmax)
-        factors = 1.0 - poles[None, :] * expw[:, None]
-        den = np.prod(factors, axis=1)
-        return np.log(np.maximum(np.abs(den), 1e-300)), poles, factors
+        if not np.array_equal(last.get("params"), params):
+            poles = _params_to_poles(params, order, rmax)
+            factors = 1.0 - poles[None, :] * expw[:, None]
+            den = np.prod(factors, axis=1)
+            last.update(params=params.copy(), value=(np.log(np.maximum(np.abs(den), 1e-300)), poles, factors))
+        return last["value"]
 
     def residual(params):
         ld, _, _ = log_den(params)
-        return sw * (params[-1] - ld - log_target)
+        out = np.zeros(rows)
+        out[:lines] = sw * (params[-1] - ld - log_target)
+        return out
 
     def jacobian(params):
-        poles = _params_to_poles(params, order, rmax)
-        factors = 1.0 - poles[None, :] * expw[:, None]
+        _, poles, factors = log_den(params)
         f_all = -expw[:, None] / factors  # d log(1 - p e^-jw) / dp
-        jac = np.zeros((omega_l.size, params.size))
+        jac = np.zeros((rows, params.size))
         if npairs:
             upper = poles[0 : 2 * npairs : 2]
             sig = np.abs(upper) / rmax
             f_up = f_all[:, 0 : 2 * npairs : 2]
             f_dn = f_all[:, 1 : 2 * npairs : 2]
             dp_du = upper * (1.0 - sig)
-            jac[:, 0 : 2 * npairs : 2] = -np.real(
+            jac[:lines, 0 : 2 * npairs : 2] = -np.real(
                 f_up * dp_du[None, :] + f_dn * np.conj(dp_du)[None, :]
             )
-            jac[:, 1 : 2 * npairs : 2] = -np.real(
+            jac[:lines, 1 : 2 * npairs : 2] = -np.real(
                 f_up * (1j * upper)[None, :] + f_dn * (-1j * np.conj(upper))[None, :]
             )
         if nreal:
             v = params[2 * npairs]
             dq_dv = rmax * (1.0 - np.tanh(v) ** 2)
-            jac[:, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
-        jac[:, -1] = 1.0
-        return jac * sw[:, None]
+            jac[:lines, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
+        jac[:lines, -1] = 1.0
+        jac[:lines] *= sw[:, None]
+        return jac
 
     def optimal_gain(params):
         ld, _, _ = log_den(params)
@@ -345,8 +361,6 @@ def _refine_pole_fit(
         cand[-1] = optimal_gain(cand)
         inits.append(cand)
 
-    n_params = 2 * npairs + nreal + 1
-    method = "lm" if omega_l.size >= n_params else "trf"
     best = None
     for x0 in inits:
         if not np.all(np.isfinite(residual(x0))):
@@ -355,7 +369,7 @@ def _refine_pole_fit(
             residual,
             x0,
             jac=jacobian,
-            method=method,
+            method="lm",
             x_scale="jac",
             ftol=1e-13,
             xtol=1e-13,
@@ -535,7 +549,6 @@ def estimate_pitch_frame(
     *,
     fmin: float = 60.0,
     fmax: float = 500.0,
-    voicing_threshold: float = 0.35,
 ) -> float | None:
     """Fundamental frequency of one analysis frame, or None when unvoiced.
 
@@ -581,42 +594,38 @@ def estimate_pitch_frame(
             deduped.append(c)
 
     f_cap = min(5000.0, 0.45 * sample_rate, float(pfreq.max()) * 1.3 + bin_hz)
-    best = None
-    for cand in deduped:
-        h_max = max(1, int(f_cap / cand))
-        matched = []
-        hit_h = []
-        used = set()
-        for h in range(1, h_max + 1):
-            target = h * cand
-            tol = max(0.12 * cand, bin_hz)
-            dist = np.abs(pfreq - target)
-            j = int(np.argmin(dist))
-            if dist[j] <= tol and j not in used:
-                used.add(j)
-                matched.append((h, pfreq[j], pamp[j]))
-                hit_h.append(h)
-        if not matched:
-            continue
-        misses = sum(1 for h in range(1, max(hit_h) + 1) if h not in hit_h)
-        score = sum(a for _, _, a in matched) * (len(matched) / (len(matched) + misses))
-        if best is None or score > best[0]:
-            best = (score, cand, matched)
-    if best is None:
+    cands = np.asarray(deduped)
+    h_max = np.maximum(1, (f_cap / cands).astype(int))
+    h = np.arange(1, int(h_max.max()) + 1)
+    # the peak nearest to every harmonic of every candidate (the first on ties)
+    dist = np.abs(pfreq[None, None, :] - h[None, :, None] * cands[:, None, None])
+    nearest = np.argmin(dist, axis=2)
+    near_dist = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
+    tol = np.maximum(0.12 * cands, bin_hz)
+    hit = (near_dist <= tol[:, None]) & (h[None, :] <= h_max[:, None])
+    # a peak explains at most one harmonic per candidate: the lowest one
+    claims = hit[:, :, None] & (nearest[:, :, None] == np.arange(pfreq.size))
+    hit &= np.take_along_axis(np.argmax(claims, axis=1), nearest, axis=1) == np.arange(h.size)
+    n_hit = hit.sum(axis=1)
+    if not n_hit.any():
         return None
-
-    _, cand, matched = best
-    hs = np.array([h for h, _, _ in matched], dtype=np.float64)
-    fs_ = np.array([f for _, f, _ in matched])
-    ws = np.array([a for _, _, a in matched])
+    # matched share of the harmonics up to the highest matched one
+    top_h = h.size - np.argmax(hit[:, ::-1], axis=1)
+    # left-to-right sums, so that near-ties resolve as a per-harmonic loop would
+    explained = np.cumsum(np.where(hit, pamp[nearest], 0.0), axis=1)[:, -1]
+    score = np.where(n_hit > 0, explained * (n_hit / top_h), -np.inf)
+    best = int(np.argmax(score))
+    hs = h[hit[best]].astype(np.float64)
+    fs_ = pfreq[nearest[best][hit[best]]]
+    ws = pamp[nearest[best][hit[best]]]
     f0 = float(np.sum(ws * hs * fs_) / np.sum(ws * hs**2))
 
     matched_energy = 0.0
-    for _, f, _ in matched:
+    for f in fs_:
         k = int(round(f / bin_hz - 0.5))
         lo, hi = max(0, k - 2), min(half, k + 3)
         matched_energy += float(np.sum(mags[lo:hi] ** 2))
-    if matched_energy < voicing_threshold * total_energy:
+    if matched_energy < _VOICING_THRESHOLD * total_energy:
         return None
     if not fmin * 0.5 <= f0 <= fmax * 1.5:
         return None
@@ -627,7 +636,7 @@ def estimate_pitch_frame(
 # Frame-based parametric analysis
 # ---------------------------------------------------------------------------
 
-def _solve_harmonics(spectrum, omega0, count, n, n_iter=5):
+def _solve_harmonics(spectrum, omega0, count, n):
     """Joint estimate of the complex harmonic amplitudes from peak bins.
 
     Models each measured peak bin as the sum of every harmonic's windowed
@@ -660,7 +669,7 @@ def _solve_harmonics(spectrum, omega0, count, n, n_iter=5):
         return a + 1j * b
 
     c = solve_own(y, dp, dm)
-    for _ in range(n_iter):
+    for _ in range(_HARMONIC_SOLVE_ITERATIONS):
         interference = c @ wp + np.conj(c) @ wm - (c * dp + np.conj(c) * dm)
         c = solve_own(y - interference, dp, dm)
     return c, k_star

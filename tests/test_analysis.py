@@ -3,10 +3,12 @@ frame-based parametric front-end."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from voicing.analysis import (
     FrameParams,
     LpcModel,
+    _refine_peak,
     analyze_frames,
     average_nrd,
     estimate_pitch_frame,
@@ -31,6 +33,86 @@ def make_harmonic_signal(f0, amps, nrd, n_samples, rate=RATE, phi0=0.0):
         phase = 2 * np.pi * d + (ell + 1) * phi0
         x += a * np.sin((ell + 1) * omega0 * n + phase)
     return x
+
+
+def reference_pitch_frame(spectrum, sample_rate, *, fmin=60.0, fmax=500.0):
+    """`estimate_pitch_frame` as a per-candidate, per-harmonic loop: the
+    reference its vectorised candidate scoring must reproduce exactly."""
+    spec = np.asarray(spectrum, dtype=np.complex128)
+    n = spec.size
+    half = n // 2
+    mags = np.abs(spec[:half])
+    total_energy = float(np.sum(mags**2))
+    if total_energy <= 0.0:
+        return None
+    bin_hz = sample_rate / n
+
+    interior = np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1
+    thresh = max(mags.max() * 1e-3, float(np.median(mags)) * 6.0)
+    peaks = interior[mags[interior] > thresh]
+    if peaks.size == 0:
+        return None
+    peaks = peaks[np.argsort(mags[peaks])[::-1][:16]]
+    refined = [_refine_peak(mags, int(k), n, bin_hz) for k in peaks]
+    pfreq = np.array([f for f, _ in refined])
+    pamp = np.array([a for _, a in refined])
+
+    candidates = sorted(f / h for f in pfreq for h in range(1, 13) if fmin <= f / h <= fmax)
+    if not candidates:
+        return None
+    deduped = [candidates[0]]
+    for c in candidates[1:]:
+        if c > deduped[-1] * 1.005:
+            deduped.append(c)
+
+    f_cap = min(5000.0, 0.45 * sample_rate, float(pfreq.max()) * 1.3 + bin_hz)
+    best = None
+    for cand in deduped:
+        matched, hit_h, used = [], [], set()
+        for h in range(1, max(1, int(f_cap / cand)) + 1):
+            dist = np.abs(pfreq - h * cand)
+            j = int(np.argmin(dist))
+            if dist[j] <= max(0.12 * cand, bin_hz) and j not in used:
+                used.add(j)
+                matched.append((h, pfreq[j], pamp[j]))
+                hit_h.append(h)
+        if not matched:
+            continue
+        misses = sum(1 for h in range(1, max(hit_h) + 1) if h not in hit_h)
+        score = sum(a for _, _, a in matched) * (len(matched) / (len(matched) + misses))
+        if best is None or score > best[0]:
+            best = (score, cand, matched)
+    if best is None:
+        return None
+
+    matched = best[2]
+    hs = np.array([h for h, _, _ in matched], dtype=np.float64)
+    fs_ = np.array([f for _, f, _ in matched])
+    ws = np.array([a for _, _, a in matched])
+    f0 = float(np.sum(ws * hs * fs_) / np.sum(ws * hs**2))
+    matched_energy = 0.0
+    for _, f, _ in matched:
+        k = int(round(f / bin_hz - 0.5))
+        matched_energy += float(np.sum(mags[max(0, k - 2) : min(half, k + 3)] ** 2))
+    if matched_energy < 0.35 * total_energy:
+        return None
+    if not fmin * 0.5 <= f0 <= fmax * 1.5:
+        return None
+    return f0
+
+
+def capture_solves(monkeypatch):
+    """Record (residual, jacobian, method) of every `least_squares` call
+    that `fit_lpc_envelope` makes, passing each call through."""
+    solve = scipy.optimize.least_squares
+    calls = []
+
+    def recording(fun, x0, *, jac, **kwargs):
+        calls.append((fun, jac, np.array(x0), kwargs.get("method", "trf")))
+        return solve(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    return calls
 
 
 class TestNrdAlgebra:
@@ -146,6 +228,42 @@ class TestLpcEnvelope:
         fit = fit_lpc_envelope(mags, omega0, 6, warm_start=model.coefficients)
         assert np.max(np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))) <= 0.01
 
+    @pytest.mark.parametrize("lines, order", [(20, 10), (20, 9), (6, 12)])
+    def test_jacobian_matches_finite_differences(self, monkeypatch, lines, order):
+        calls = capture_solves(monkeypatch)
+        omega0 = 2 * np.pi * 140.0 / RATE
+        mags = np.exp(-0.15 * np.arange(lines)) * (1.0 + 0.5 * np.cos(np.arange(lines)))
+        fit_lpc_envelope(mags, omega0, order)
+        residual, jacobian, x0, _ = calls[0]
+        rng = np.random.default_rng(order)
+        x = x0 + rng.normal(0.0, 0.1, x0.size)
+        step = 1e-6
+        numeric = np.empty((residual(x).size, x.size))
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = step
+            numeric[:, i] = (residual(x + e) - residual(x - e)) / (2 * step)
+        # the last residual point differs from x: a Jacobian served from a
+        # stale evaluation fails here
+        residual(x + 0.05)
+        jac = jacobian(x)
+        rows = max(lines, order + 1)  # zero rows pad an underdetermined fit
+        assert jac.shape == (rows, order + 1)
+        np.testing.assert_allclose(jac, numeric, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(jac[lines:], 0.0)
+        np.testing.assert_array_equal(residual(x)[lines:], 0.0)
+
+    def test_one_solver_for_every_shape(self, monkeypatch):
+        # 6 lines at order 12: more parameters than lines
+        calls = capture_solves(monkeypatch)
+        omega0 = 2 * np.pi * 140.0 / RATE
+        mags = np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12])
+        fit = fit_lpc_envelope(mags, omega0, 12)
+        assert calls and {method for *_, method in calls} == {"lm"}
+        # bound: the 4.5e-5 dB that scipy's TRF solver reaches on this fit
+        err_db = np.abs(20 * np.log10(fit.magnitude(np.arange(1, 7) * omega0) / mags))
+        assert np.max(err_db) <= 4.5e-5
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             fit_lpc_envelope(np.zeros(10), 0.03, 12)
@@ -232,6 +350,34 @@ class TestPitchEstimation:
 
     def test_silence_unvoiced(self):
         assert estimate_pitch_frame(np.zeros(1024, dtype=complex), RATE) is None
+
+    def test_matches_per_candidate_loop(self):
+        rng = np.random.default_rng(29)
+        vowel = 1.0 / np.arange(1, 41) * (1.0 + 0.6 * np.cos(0.7 * np.arange(40)))
+        noisy = make_harmonic_signal(130.0, vowel, rng.uniform(0, 1, 40), RATE // 2)
+        noisy += 10 ** (-20 / 20) * np.sqrt(np.mean(noisy**2)) * rng.standard_normal(noisy.size)
+        low = make_harmonic_signal(60.0, vowel, rng.uniform(0, 1, 40), RATE // 2)
+        inputs = [
+            (np.sin(2 * np.pi * 200.0 * np.arange(4096) / RATE), 512),
+            (make_harmonic_signal(110.0, 1.0 / np.arange(1, 11), np.zeros(10), 4096), 1024),
+            (make_harmonic_signal(140.0, [0.3, 1.0, 0.5, 0.4, 0.2], np.zeros(5), 4096), 1024),
+            (np.random.default_rng(17).standard_normal(2048), 1024),
+            (np.zeros(2048), 1024),
+            (make_harmonic_signal(110.0, vowel, rng.uniform(0, 1, 40), RATE // 2), 1024),
+            (noisy, 1024),
+            (low, 1024),
+            (low, 512),  # lines closer than two bins: the once-per-peak rule decides here
+            (make_harmonic_signal(500.0, vowel[:22], rng.uniform(0, 1, 22), RATE // 2), 1024),
+        ]
+        voiced = 0
+        for x, n in inputs:
+            w = make_sqrt_shifted_hanning(n)
+            for off in range(0, x.size - n + 1, n // 2):
+                spec = odft(x[off : off + n] * w)
+                want = reference_pitch_frame(spec, RATE)
+                assert estimate_pitch_frame(spec, RATE) == want
+                voiced += want is not None
+        assert voiced >= 60
 
 
 class TestAnalyzeFrames:
