@@ -43,6 +43,8 @@ from .dsp import (
 from .segmentation import harmonic_count
 
 TWO_PI = 2.0 * np.pi
+_GLO_ORDER_HEADROOM = 8  # poles GLO adds to lpc_order for the pulse-divided target
+_GLO_FOCUS_NORM_FREQ = 0.4  # top of GLO's full-weight band, as a fraction of Nyquist
 
 
 @dataclass(frozen=True)
@@ -395,7 +397,6 @@ def _tilt_compensated_model(
     omega0,
     order,
     *,
-    focus_norm_freq=0.4,
     warm_start=None,
     tail_periods=3,
 ):
@@ -403,16 +404,17 @@ def _tilt_compensated_model(
     pulse's own line magnitudes, refit as an all-pole model.
 
     The inverse-source division leaves a target with more spectral
-    structure than a plain vowel envelope, so the refit runs in the
-    thorough mode of the envelope fitter, with full weight on the band
-    below `focus_norm_freq` (fraction of Nyquist, ~4.4 kHz at 22050 Hz).
+    structure than a plain vowel envelope, so a cold fit gets the envelope
+    fitter's thorough budget, with full weight on the band below
+    `_GLO_FOCUS_NORM_FREQ` (fraction of Nyquist, ~4.4 kHz at 22050 Hz).
     The fit target is then corrected up to three times, in the log
     domain, by how far the line magnitudes the truncated-tail render path
     actually produces miss the command, which absorbs residual fit error
     and truncation ringing (truncating a resonance's tail perturbs the
     line right on the resonance by far more than the tail's energy
-    suggests).  The model whose render misses least in the focus band is
-    kept, and the corrections stop once a round no longer lowers that miss.
+    suggests).  Every model fitted is rendered.  The model whose render
+    misses least in the focus band is kept, and the corrections stop once
+    a round no longer lowers that miss.
     """
     lines = harmonic_count(period)
     count = min(len(amps), lines)
@@ -425,7 +427,7 @@ def _tilt_compensated_model(
         level = np.exp(np.mean(np.log(np.maximum(compensated, 1e-300))))
         return LpcModel(0, np.zeros(0), float(max(level, 1e-300)))
     nyquist_fraction = 2.0 * np.arange(1, lines + 1) / period
-    weights = np.where(nyquist_fraction <= focus_norm_freq, 1.0, 0.3)
+    weights = np.where(nyquist_fraction <= _GLO_FOCUS_NORM_FREQ, 1.0, 0.3)
     tiny = target.max() * 1e-8
     # the pulse excites every harmonic up to Nyquist; those past the
     # commanded ones enter the fit as zeros (raised onto the fitter's floor)
@@ -450,14 +452,14 @@ def _tilt_compensated_model(
     log_target = np.log(np.maximum(target, tiny))
     log_fit = np.log(np.maximum(compensated, tiny))
     best, best_miss = model, np.inf
-    for _ in range(4):  # the first fit and up to three corrections
+    for corrections_left in (3, 2, 1, 0):  # the first fit and up to three corrections
         rendered = _rendered_line_magnitudes(pulse_samples, model, period, count, tail_periods)
         miss = log_target - np.log(np.maximum(rendered, tiny))
         miss_db = 20.0 / np.log(10.0) * np.max(np.abs(miss[focus]))
         if miss_db >= best_miss:
             break
         best, best_miss = model, miss_db
-        if miss_db < 0.2:
+        if miss_db < 0.2 or not corrections_left:
             break
         log_fit = log_fit + miss
         model = fit_lpc_envelope(
@@ -476,7 +478,6 @@ def synth_glo(
     shape_params: LfParams | None = None,
     *,
     lpc_order: int = 18,
-    order_headroom: int = 8,
     tilt_compensation: bool = True,
     tail_periods: int = 3,
 ) -> AudioBuffer:
@@ -491,7 +492,7 @@ def synth_glo(
     pulse and filter, never from an NRD model.
 
     The per-period model order is the least of three bounds:
-    `lpc_order + order_headroom`, since dividing by the pulse spectrum
+    `lpc_order + _GLO_ORDER_HEADROOM`, since dividing by the pulse spectrum
     adds structure that a plain vowel-envelope order cannot carry;
     `harmonic_count(period) - 2`; and two poles per commanded line, since
     further poles are left unconstrained by the lines, drift onto the
@@ -522,7 +523,7 @@ def synth_glo(
             count = min(len(amps), harmonic_count(period))
             if tilt_compensation:
                 refit_order = 0 if lpc_order == 0 else min(
-                    lpc_order + order_headroom, harmonic_count(period) - 2, 2 * count
+                    lpc_order + _GLO_ORDER_HEADROOM, harmonic_count(period) - 2, 2 * count
                 )
                 warm = (
                     prev_model.coefficients

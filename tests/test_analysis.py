@@ -264,6 +264,14 @@ class TestLpcEnvelope:
         err_db = np.abs(20 * np.log10(fit.magnitude(np.arange(1, 7) * omega0) / mags))
         assert np.max(err_db) <= 4.5e-5
 
+    def test_thorough_cold_fit_solves_once(self, monkeypatch):
+        # thorough buys a cold fit a larger budget, not extra starts
+        calls = capture_solves(monkeypatch)
+        omega0 = 2 * np.pi * 118.0 / RATE
+        mags = np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08])
+        fit_lpc_envelope(mags, omega0, 16, thorough=True)
+        assert len(calls) == 1
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             fit_lpc_envelope(np.zeros(10), 0.03, 12)

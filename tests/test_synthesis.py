@@ -400,6 +400,39 @@ class TestGlo:
         diff_db = np.abs(20 * np.log10(measured / commanded))
         assert np.max(diff_db) <= 2.0
 
+    def test_every_fitted_model_is_rendered(self, monkeypatch):
+        # the correction loop must not fit a model it never renders
+        import voicing.synthesis as synthesis_module
+        from voicing.analysis import harmonic_amplitudes
+
+        counts = {"fits": 0, "renders": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            synthesis_module, "fit_lpc_envelope", counting("fits", synthesis_module.fit_lpc_envelope)
+        )
+        monkeypatch.setattr(
+            synthesis_module,
+            "_rendered_line_magnitudes",
+            counting("renders", synthesis_module._rendered_line_magnitudes),
+        )
+        amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]
+        plan = stationary_plan(118.0, amps, np.zeros(8), duration_s=0.3, order=10)
+        period = int(round(RATE / 118.0))
+        pulse = synth_glottal_pulse(period)
+        # order 16: synth_glo's two poles per commanded line
+        _tilt_compensated_model(
+            harmonic_amplitudes(plan.frames[0]), pulse.samples, period, 2 * np.pi / period, 16
+        )
+        assert counts["fits"] >= 1
+        assert counts["fits"] == counts["renders"]
+
     def test_contour_roundtrip(self):
         plan = stationary_plan(110.0, [1.0, 0.7, 0.5, 0.3], np.zeros(4), duration_s=0.6, order=8)
         out = synth_glo(plan)
