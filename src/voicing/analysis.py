@@ -10,17 +10,19 @@ from scipy.linalg import solve_toeplitz
 
 from .dsp import (
     AudioBuffer,
-    UnstableFilterError,
     make_sqrt_shifted_hanning,
     odft,
-    pole_radii,
     sine_window_spectrum,
-    stabilize_all_pole,
+    split_poles,
 )
 
 TWO_PI = 2.0 * np.pi
 _POLE_RMAX = 0.998  # default cap on fitted pole radii
 _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
+# envelope-fit floor under the strongest line: lines below it are raised
+# onto it, as measured spectra sit on a noise floor anyway, so that the fit
+# spends no orders on data 80 dB down
+_ENVELOPE_FLOOR_DB = -60.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
 _HARMONIC_SOLVE_ITERATIONS = 5  # relaxation rounds of the joint harmonic solve
 
@@ -93,32 +95,33 @@ def average_nrd(track) -> np.ndarray:
 
 @dataclass
 class LpcModel:
-    """All-pole spectral magnitude model |H(w)| = gain / |1 + sum a_i e^-jwi|."""
+    """All-pole spectral magnitude model |H(w)| = gain / |prod_i (1 - p_i e^-jw)|,
+    whose poles must pass `dsp.split_poles`."""
 
-    order: int
-    coefficients: np.ndarray
+    poles: np.ndarray
     gain: float
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.size != self.order:
-            raise ValueError("coefficient count must equal the model order")
+        self.poles = np.atleast_1d(np.asarray(self.poles, dtype=np.complex128))
+        split_poles(self.poles)
         if not self.gain > 0:
             raise ValueError("gain must be positive")
-        radii = pole_radii(self.coefficients)
-        if radii.size and radii.max() >= 1.0:
-            raise UnstableFilterError(
-                f"LpcModel poles must lie strictly inside the unit circle "
-                f"(max radius {radii.max():.6f})"
-            )
+
+    @property
+    def order(self) -> int:
+        return self.poles.size
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Direct-form a_1..a_p of 1 + sum a_i z^-i, for readers outside the
+        library: at high order its roots are not the poles, so nothing here
+        uses it."""
+        return np.real(np.poly(self.poles))[1:]
 
     def frequency_response(self, omega) -> np.ndarray:
         """Complex response at angular frequencies `omega` (rad/sample)."""
         w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-        denom = np.ones_like(w, dtype=np.complex128)
-        for i, a in enumerate(self.coefficients, start=1):
-            denom += a * np.exp(-1j * w * i)
-        return self.gain / denom
+        return self.gain / np.prod(1.0 - self.poles[None, :] * np.exp(-1j * w)[:, None], axis=1)
 
     def magnitude(self, omega) -> np.ndarray:
         return np.abs(self.frequency_response(omega))
@@ -129,7 +132,6 @@ def fit_lpc_envelope(
     omega0: float,
     order: int,
     *,
-    floor_db: float = -60.0,
     thorough: bool = False,
     line_weights=None,
     warm_start=None,
@@ -147,20 +149,16 @@ def fit_lpc_envelope(
         magnitudes: linear amplitude per harmonic, index l = 0..L-1.
         omega0: fundamental angular frequency, rad/sample.
         order: all-pole model order p (L >= p/2 recommended).
-        floor_db: modeling floor relative to the strongest harmonic; lines
-            below it are raised onto it before fitting.  Measured spectra
-            carry an acoustic noise floor anyway, and an explicit floor
-            keeps the fit from burning its orders on data 80 dB down.
         thorough: give the refinement stage's single solve 1,500
             evaluations instead of 400, for oddly shaped targets (GLO's
             tilt-compensated ones) that a cold start needs longer to fit.
         line_weights: optional per-harmonic importance multipliers for the
             refinement stage (e.g. to de-emphasize bands the caller does
             not care about).
-        warm_start: coefficient array of a previously fitted model for a
-            nearly identical target; used as the only starting point,
-            which is both faster and steadier across a slowly evolving
-            parameter track.
+        warm_start: a previously fitted LpcModel for a nearly identical
+            target; its poles are the only starting point, which is both
+            faster and steadier across a slowly evolving parameter track.
+            A model of another order is ignored.
         max_pole_radius: hard cap on fitted pole radii.  Callers that
             truncate the filter's response (finite tails) should lower it
             so the ringing dies out inside their window.
@@ -178,7 +176,7 @@ def fit_lpc_envelope(
     if line_weights is not None:
         line_weights = np.asarray(line_weights, dtype=np.float64)[: mags.size]
 
-    floor = mags.max() * 10.0 ** (floor_db / 20.0)
+    floor = mags.max() * 10.0 ** (_ENVELOPE_FLOOR_DB / 20.0)
     log_target = np.log(np.maximum(mags, floor))
     active = mags > floor  # lines raised onto the floor are not measurements
     if not np.any(active):
@@ -188,13 +186,13 @@ def fit_lpc_envelope(
 
     # stage 1: autocorrelation-method fit of the resampled line spectrum
     # (skipped when a warm start is supplied)
-    if warm_start is not None and np.asarray(warm_start).size == order:
-        coeffs = np.asarray(warm_start, dtype=np.float64)
+    if warm_start is not None and warm_start.order == order:
+        poles = warm_start.poles
         budget = 300
     else:
         power = np.exp(2.0 * log_s)
         r = np.fft.irfft(power, 2 * _ENVELOPE_GRID)[: order + 1]
-        coeffs = -_solve_yule_walker(r, order)
+        poles = np.roots(np.concatenate([[1.0], -_solve_yule_walker(r, order)]))
         budget = 1500 if thorough else 400
 
     # stage 2: pole-domain refinement of the dB error at the lines (the
@@ -205,28 +203,15 @@ def fit_lpc_envelope(
         padded = np.full(weights.size, line_weights[-1] if line_weights.size else 1.0)
         padded[: line_weights.size] = line_weights[: weights.size]
         weights = weights * padded
-    coeffs, gain = _refine_pole_fit(
-        coeffs,
+    poles, gain = _refine_pole_fit(
+        poles,
         omega_l,
         log_target,
         weights,
         max_nfev=budget,
         rmax=max_pole_radius,
     )
-    # degree-p coefficient round-trips can nudge recomputed radii past the
-    # cap; re-clamp so the constructed model always validates
-    radii = pole_radii(coeffs)
-    if radii.size and radii.max() > max_pole_radius:
-        coeffs = stabilize_all_pole(coeffs, max_pole_radius)
-        # poles clustered at the cap make that clamp inexact too; a_i * g**i
-        # moves every root of the polynomial inward by exactly the factor g
-        powers = np.arange(1, order + 1)
-        for _ in range(8):
-            top = pole_radii(coeffs).max()
-            if top <= max_pole_radius:
-                break
-            coeffs = coeffs * (max_pole_radius / top) ** powers
-    return LpcModel(order=order, coefficients=coeffs, gain=gain)
+    return LpcModel(poles, gain)
 
 
 def _poles_to_params(roots, order, rmax):
@@ -234,7 +219,7 @@ def _poles_to_params(roots, order, rmax):
     the refinement stage: order//2 conjugate pairs plus an optional real
     pole.  Leftover real roots are approximated by near-real pairs on
     their own side of the real axis: a pair that a fit settled at angle
-    pi re-roots as two negative reals and must be packed back there."""
+    pi comes back as two negative reals and must be packed back there."""
     npairs = order // 2
     nreal = order % 2
     upper = sorted(
@@ -266,8 +251,10 @@ def _poles_to_params(roots, order, rmax):
 def _params_to_poles(params, order, rmax):
     npairs = order // 2
     nreal = order % 2
+    # a logit capped at 30 keeps a pair's radius 1e-13 under rmax, so that
+    # rounding in |p| never reads it above the cap
     with np.errstate(over="ignore"):
-        radius = rmax / (1.0 + np.exp(-params[0 : 2 * npairs : 2]))
+        radius = rmax / (1.0 + np.exp(-np.minimum(params[0 : 2 * npairs : 2], 30.0)))
     upper = radius * np.exp(1j * params[1 : 2 * npairs : 2])
     poles = np.empty(order, dtype=np.complex128)
     poles[0 : 2 * npairs : 2] = upper
@@ -278,11 +265,12 @@ def _params_to_poles(params, order, rmax):
 
 
 def _refine_pole_fit(
-    init_coeffs, omega_l, log_target, weights, *, max_nfev, rmax=_POLE_RMAX
+    init_poles, omega_l, log_target, weights, *, max_nfev, rmax=_POLE_RMAX
 ):
     """Weighted least-squares fit of the log magnitude at the harmonic
     lines, parameterized by pole radii (through a sigmoid, so stability is
-    structural) and angles.  Returns (coefficients, gain).
+    structural) and angles, starting from `init_poles`.  Returns (poles,
+    gain), every pole radius at most `rmax`.
 
     Every shape is solved by MINPACK's Levenberg-Marquardt.  LM needs at
     least as many residuals as parameters, so when a frame has fewer lines
@@ -292,7 +280,7 @@ def _refine_pole_fit(
     reuses that point's poles and factors."""
     from scipy.optimize import least_squares
 
-    order = init_coeffs.size
+    order = init_poles.size
     npairs = order // 2
     nreal = order % 2
     lines = omega_l.size
@@ -343,11 +331,10 @@ def _refine_pole_fit(
         ld, _, _ = log_den(params)
         return float(np.sum(weights * (log_target + ld)) / np.sum(weights))
 
-    roots = np.roots(np.concatenate([[1.0], init_coeffs])) if order else np.zeros(0)
-    start = _poles_to_params(roots, order, rmax)
+    start = _poles_to_params(init_poles, order, rmax)
     start[-1] = optimal_gain(start)
     if not np.all(np.isfinite(residual(start))):
-        return init_coeffs.copy(), float(np.exp(np.sum(weights * log_target) / np.sum(weights)))
+        return _params_to_poles(start, order, rmax), float(np.exp(np.sum(weights * log_target) / np.sum(weights)))
     params = least_squares(
         residual,
         start,
@@ -359,10 +346,7 @@ def _refine_pole_fit(
         gtol=1e-13,
         max_nfev=max_nfev,
     ).x
-    poles = _params_to_poles(params, order, rmax)
-    coeffs = np.real(np.poly(poles))[1:] if order else np.zeros(0)
-    gain = float(np.exp(params[-1]))
-    return coeffs, gain
+    return _params_to_poles(params, order, rmax), float(np.exp(params[-1]))
 
 
 def _solve_yule_walker(r, order):
@@ -804,7 +788,7 @@ def analyze_frames(
                 amps,
                 w0,
                 min(lpc_order, 2 * count),
-                warm_start=None if warm is None else warm.coefficients,
+                warm_start=warm,
             )
         except ValueError:
             frames.append(FrameParams(frame_index=m, voiced=False))

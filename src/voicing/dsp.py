@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 
 
 class UnstableFilterError(ValueError):
-    """All-pole coefficient set has poles on or outside the unit circle."""
+    """All-pole model or filter has poles on or outside the unit circle."""
 
 
 @dataclass
@@ -238,19 +238,44 @@ def stabilize_all_pole(coefficients, max_radius: float = 0.995) -> np.ndarray:
     return np.real(poly[1:])
 
 
-def all_pole_filter(excitation, lpc_coeffs, gain: float = 1.0) -> np.ndarray:
-    """Filter `excitation` through y[n] = gain*x[n] - sum_i a_i y[n-i].
+def split_poles(poles):
+    """Check the poles of a stable real all-pole filter and split them into
+    the upper-half-plane pole of each conjugate pair and the real poles.
 
-    Zero initial state.  The coefficient set must describe a stable
-    filter (all poles strictly inside the unit circle); otherwise
-    UnstableFilterError is raised.
+    Raises ValueError when a pole is not finite or the non-real poles are
+    not closed under conjugation (no real filter has them), and
+    UnstableFilterError when a pole lies on or outside the unit circle.
+    """
+    p = np.atleast_1d(np.asarray(poles, dtype=np.complex128))
+    if not np.all(np.isfinite(p)):
+        raise ValueError("poles must be finite")
+    upper = np.sort(p[p.imag > 0])
+    lower = np.sort(np.conj(p[p.imag < 0]))
+    if upper.size != lower.size or not np.allclose(upper, lower, rtol=0.0, atol=1e-9):
+        raise ValueError("poles must be closed under complex conjugation")
+    if p.size and np.abs(p).max() >= 1.0:
+        raise UnstableFilterError(f"unstable all-pole filter: max pole radius {np.abs(p).max():.6f} >= 1")
+    return upper, p[p.imag == 0].real
+
+
+def all_pole_filter(excitation, poles, gain: float = 1.0) -> np.ndarray:
+    """Filter `excitation` through gain / prod_i (1 - p_i z^-1).
+
+    Zero initial state.  The filter runs as a cascade of second-order
+    sections, one per conjugate pair or pair of real poles, so it never
+    forms the polynomial whose high-order roots rounding would move.  The
+    poles must pass `split_poles`.
     """
     x = np.asarray(excitation, dtype=np.float64)
-    a = np.asarray(lpc_coeffs, dtype=np.float64)
-    if a.size:
-        radii = pole_radii(a)
-        if radii.size and radii.max() >= 1.0:
-            raise UnstableFilterError(
-                f"unstable all-pole filter: max pole radius {radii.max():.6f} >= 1"
-            )
-    return lfilter([float(gain)], np.concatenate([[1.0], a]), x)
+    upper, reals = split_poles(poles)
+    if upper.size + reals.size == 0:
+        return float(gain) * x
+    # one section 1 - (p + q) z^-1 + p q z^-2 per pair (p, q): a conjugate
+    # pair, two real poles, or the odd real pole and 0
+    reals = np.append(reals, np.zeros(reals.size % 2))
+    sos = np.zeros((upper.size + reals.size // 2, 6))
+    sos[:, 0] = sos[:, 3] = 1.0
+    sos[0, 0] = float(gain)
+    sos[:, 4] = -np.concatenate([2.0 * upper.real, reals[0::2] + reals[1::2]])
+    sos[:, 5] = np.concatenate([np.abs(upper) ** 2, reals[0::2] * reals[1::2]])
+    return sosfilt(sos, x)

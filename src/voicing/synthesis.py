@@ -16,7 +16,6 @@ Three engines consume the same per-frame parameter stream:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,19 +31,18 @@ from .analysis import (
 )
 from .dsp import (
     AudioBuffer,
-    UnstableFilterError,
     all_pole_filter,
     dft,
     inverse_odft,
     make_sqrt_shifted_hanning,
     sine_window_spectrum,
-    stabilize_all_pole,
 )
 from .segmentation import harmonic_count
 
 TWO_PI = 2.0 * np.pi
 _GLO_ORDER_HEADROOM = 8  # poles GLO adds to lpc_order for the pulse-divided target
 _GLO_FOCUS_NORM_FREQ = 0.4  # top of GLO's full-weight band, as a fraction of Nyquist
+_GLO_TAIL_PERIODS = 3  # periods of filter output GLO keeps per pulse
 
 
 @dataclass(frozen=True)
@@ -379,14 +377,14 @@ def synth_glottal_pulse(period: int, shape_params: LfParams | None = None) -> Gl
     return GlottalPulse(period=p, samples=g, shape_params=shape)
 
 
-def _rendered_line_magnitudes(pulse_samples, model, period, count, tail_periods=3):
+def _rendered_line_magnitudes(pulse_samples, model, period, count):
     """Line magnitudes actually produced by the per-period render path:
-    pulse through the filter, truncated at tail_periods * P, overlap-added
-    at period offsets (equivalently: folded into one period)."""
-    tail = tail_periods * period
+    pulse through the filter, truncated at _GLO_TAIL_PERIODS * P,
+    overlap-added at period offsets (equivalently: folded into one period)."""
+    tail = _GLO_TAIL_PERIODS * period
     excitation = np.concatenate([pulse_samples, np.zeros(tail - period)])
-    filtered = all_pole_filter(excitation, model.coefficients, model.gain)
-    folded = filtered.reshape(tail_periods, period).sum(axis=0)
+    filtered = all_pole_filter(excitation, model.poles, model.gain)
+    folded = filtered.reshape(_GLO_TAIL_PERIODS, period).sum(axis=0)
     return 2.0 * np.abs(dft(folded)[1 : 1 + count]) / period
 
 
@@ -398,7 +396,6 @@ def _tilt_compensated_model(
     order,
     *,
     warm_start=None,
-    tail_periods=3,
 ):
     """Per-period vocal tract model: target envelope divided by the
     pulse's own line magnitudes, refit as an all-pole model.
@@ -425,7 +422,7 @@ def _tilt_compensated_model(
     compensated = target / pulse_mags[:count]
     if order == 0:
         level = np.exp(np.mean(np.log(np.maximum(compensated, 1e-300))))
-        return LpcModel(0, np.zeros(0), float(max(level, 1e-300)))
+        return LpcModel(np.zeros(0), float(max(level, 1e-300)))
     nyquist_fraction = 2.0 * np.arange(1, lines + 1) / period
     weights = np.where(nyquist_fraction <= _GLO_FOCUS_NORM_FREQ, 1.0, 0.3)
     tiny = target.max() * 1e-8
@@ -453,7 +450,7 @@ def _tilt_compensated_model(
     log_fit = np.log(np.maximum(compensated, tiny))
     best, best_miss = model, np.inf
     for corrections_left in (3, 2, 1, 0):  # the first fit and up to three corrections
-        rendered = _rendered_line_magnitudes(pulse_samples, model, period, count, tail_periods)
+        rendered = _rendered_line_magnitudes(pulse_samples, model, period, count)
         miss = log_target - np.log(np.maximum(rendered, tiny))
         miss_db = 20.0 / np.log(10.0) * np.max(np.abs(miss[focus]))
         if miss_db >= best_miss:
@@ -467,7 +464,7 @@ def _tilt_compensated_model(
             omega0,
             order,
             line_weights=weights,
-            warm_start=model.coefficients,
+            warm_start=model,
             max_pole_radius=0.99,
         )
     return best
@@ -479,29 +476,28 @@ def synth_glo(
     *,
     lpc_order: int = 18,
     tilt_compensation: bool = True,
-    tail_periods: int = 3,
 ) -> AudioBuffer:
     """Physiologically inspired synthesis.
 
     Per period: synthesize an LF glottal pulse of the local period
     length, filter it through a dedicated all-pole vocal tract model fit
     to the interpolated target envelope (divided by the pulse's own
-    spectral tilt when `tilt_compensation` is on), keep `tail_periods`
-    periods of the filter output, and overlap-add at the cumulative
-    period offsets.  Harmonic phase structure comes entirely from the
-    pulse and filter, never from an NRD model.
+    spectral tilt when `tilt_compensation` is on), keep
+    `_GLO_TAIL_PERIODS` periods of the filter output, and overlap-add at
+    the cumulative period offsets.  Harmonic phase structure comes
+    entirely from the pulse and filter, never from an NRD model.
 
     The per-period model order is the least of three bounds:
     `lpc_order + _GLO_ORDER_HEADROOM`, since dividing by the pulse spectrum
     adds structure that a plain vowel-envelope order cannot carry;
     `harmonic_count(period) - 2`; and two poles per commanded line, since
-    further poles are left unconstrained by the lines, drift onto the
-    radius cap and make the coefficient set unstable.
+    further poles are left unconstrained by the lines and drift onto the
+    radius cap.
     """
     shape = shape_params or LfParams()
     track = _ParamTrack(plan)
     total = plan.total_length
-    out = np.zeros(total + (tail_periods + 1) * int(np.ceil(TWO_PI / min(f.omega0 for f in plan.voiced_frames()))))
+    out = np.zeros(total + (_GLO_TAIL_PERIODS + 1) * int(np.ceil(TWO_PI / min(f.omega0 for f in plan.voiced_frames()))))
 
     pulse_cache: dict[int, GlottalPulse] = {}
     model_cache: dict[bytes, LpcModel] = {}
@@ -525,11 +521,7 @@ def synth_glo(
                 refit_order = 0 if lpc_order == 0 else min(
                     lpc_order + _GLO_ORDER_HEADROOM, harmonic_count(period) - 2, 2 * count
                 )
-                warm = (
-                    prev_model.coefficients
-                    if prev_model is not None and prev_model.order == refit_order
-                    else None
-                )
+                warm = prev_model if prev_model is not None and prev_model.order == refit_order else None
                 model = _tilt_compensated_model(
                     amps,
                     pulse.samples,
@@ -537,28 +529,18 @@ def synth_glo(
                     TWO_PI / period,
                     refit_order,
                     warm_start=warm,
-                    tail_periods=tail_periods,
                 )
             elif lpc_order == 0:
                 level = np.exp(np.mean(np.log(np.maximum(amps[:count], 1e-300))))
-                model = LpcModel(0, np.zeros(0), float(max(level, 1e-300)))
+                model = LpcModel(np.zeros(0), float(max(level, 1e-300)))
             else:
                 model = fit_lpc_envelope(amps[:count], TWO_PI / period, lpc_order)
             model_cache[key] = model
         prev_model = model
 
-        tail = tail_periods * period
+        tail = _GLO_TAIL_PERIODS * period
         excitation = np.concatenate([pulse.samples, np.zeros(tail - period)])
-        try:
-            filtered = all_pole_filter(excitation, model.coefficients, model.gain)
-        except UnstableFilterError:
-            warnings.warn(
-                f"unstable vocal tract model at sample {position}; clamping pole radius to 0.995",
-                RuntimeWarning,
-            )
-            coeffs = stabilize_all_pole(model.coefficients, 0.995)
-            filtered = all_pole_filter(excitation, coeffs, model.gain)
-        out[position : position + tail] += filtered
+        out[position : position + tail] += all_pole_filter(excitation, model.poles, model.gain)
         position += period
 
     return AudioBuffer(_fit_length(out, total), plan.sample_rate)

@@ -4,6 +4,8 @@ frame-based parametric front-end."""
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voicing.analysis import (
     FrameParams,
@@ -19,7 +21,7 @@ from voicing.analysis import (
     vertical_unwrap,
     wrap_cycles,
 )
-from voicing.dsp import AudioBuffer, make_sqrt_shifted_hanning, odft
+from voicing.dsp import AudioBuffer, all_pole_filter, make_sqrt_shifted_hanning, odft
 
 RATE = 22050
 
@@ -184,8 +186,7 @@ class TestLpcEnvelope:
         # known-pole construction oracle
         omega_res = 2 * np.pi * 900.0 / RATE
         pole = 0.97 * np.exp(1j * omega_res)
-        coeffs = np.real(np.poly([pole, np.conj(pole)]))[1:]
-        true_model = LpcModel(2, coeffs, 1.0)
+        true_model = LpcModel([pole, np.conj(pole)], 1.0)
         omega0 = 2 * np.pi * 110.0 / RATE
         omega_l = np.arange(1, 90) * omega0
         mags = true_model.magnitude(omega_l)
@@ -205,8 +206,7 @@ class TestLpcEnvelope:
             r = np.exp(-np.pi * bw / RATE)
             poles += [r * np.exp(2j * np.pi * fc / RATE), r * np.exp(-2j * np.pi * fc / RATE)]
         poles += [0.98, 0.9]  # spectral tilt
-        coeffs = np.real(np.poly(poles))[1:]
-        model = LpcModel(len(coeffs), coeffs, 1.0)
+        model = LpcModel(poles, 1.0)
         omega0 = 2 * np.pi * 118.0 / RATE
         omega_l = np.arange(1, 85) * omega0
         mags = model.magnitude(omega_l) * np.exp(rng.normal(0, 0.02, omega_l.size))
@@ -221,11 +221,11 @@ class TestLpcEnvelope:
         # warm-started from its own model, the fit must stay where it is
         poles = [0.96 * np.exp(2j * np.pi * 700 / RATE), 0.94 * np.exp(2j * np.pi * 1900 / RATE)]
         poles += [np.conj(p) for p in poles] + [-0.9, -0.9]
-        model = LpcModel(6, np.real(np.poly(poles))[1:], 1.0)
+        model = LpcModel(poles, 1.0)
         omega0 = 2 * np.pi * 110.0 / RATE
         omega_l = np.arange(1, 100) * omega0
         mags = model.magnitude(omega_l)
-        fit = fit_lpc_envelope(mags, omega0, 6, warm_start=model.coefficients)
+        fit = fit_lpc_envelope(mags, omega0, 6, warm_start=model)
         assert np.max(np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))) <= 0.01
 
     @pytest.mark.parametrize("lines, order", [(20, 10), (20, 9), (6, 12)])
@@ -278,7 +278,58 @@ class TestLpcEnvelope:
 
     def test_gain_positive_required(self):
         with pytest.raises(ValueError):
-            LpcModel(0, np.zeros(0), 0.0)
+            LpcModel(np.zeros(0), 0.0)
+
+    def test_poles_not_closed_under_conjugation_rejected(self):
+        with pytest.raises(ValueError):
+            LpcModel([0.5 + 0.3j], 1.0)
+        with pytest.raises(ValueError):
+            LpcModel([0.5 + 0.3j, 0.5 - 0.2j, 0.4], 1.0)
+
+    def test_clustered_poles_stay_exact(self):
+        # nine pairs at radius 0.998 within 0.4 rad: the direct-form
+        # coefficients of this model re-root outside the unit circle
+        upper = 0.998 * np.exp(1j * np.linspace(0.2, 0.6, 9))
+        poles = np.concatenate([upper, np.conj(upper)])
+        model = LpcModel(poles, 0.5)
+        assert np.abs(np.roots(np.concatenate([[1.0], model.coefficients]))).max() > 1.0
+        omega = np.linspace(0.0, np.pi, 257)
+        expected = np.full(omega.size, 0.5)
+        for p in poles:
+            expected /= np.abs(1.0 - p * np.exp(-1j * omega))
+        np.testing.assert_allclose(model.magnitude(omega), expected, rtol=1e-9)
+        impulse = np.zeros(30000)
+        impulse[0] = 1.0
+        y = all_pole_filter(impulse, model.poles, model.gain)
+        assert np.all(np.isfinite(y))
+        assert np.abs(y[-2000:]).max() < 1e-20 * np.abs(y).max()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        mags=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40),
+        f0=st.floats(60.0, 500.0),
+        order=st.integers(1, 26),
+        cap=st.sampled_from([0.99, 0.998]),
+        start=st.sampled_from(["cold", "thorough", "warm"]),
+    )
+    # a pair that saturates its radius sigmoid: |p| rounds one ulp above the
+    # cap unless the fitter keeps it under
+    @example(mags=[0.125, 0.75, 0.5], f0=62.0, order=3, cap=0.99, start="cold")
+    def test_fitted_poles_stay_under_cap(self, mags, f0, order, cap, start):
+        omega0 = 2 * np.pi * f0 / RATE
+        mags = np.asarray(mags)
+        warm = None
+        if start == "warm":
+            # a model fitted to a neighbouring target, as along a voiced run
+            tilted = mags * np.exp(0.1 * np.cos(np.arange(mags.size)))
+            warm = fit_lpc_envelope(tilted, omega0, order, max_pole_radius=cap)
+        fit = fit_lpc_envelope(
+            mags, omega0, order, thorough=start == "thorough", warm_start=warm, max_pole_radius=cap
+        )
+        assert fit.order == order
+        assert np.abs(fit.poles).max() <= cap
+        upper = np.sort(fit.poles[fit.poles.imag > 0])
+        np.testing.assert_array_equal(upper, np.sort(np.conj(fit.poles[fit.poles.imag < 0])))
 
 
 class TestInterpolateParams:
@@ -477,7 +528,7 @@ class TestAnalyzeFrames:
         f0 = 5 * RATE / 1024
         poles = [0.96 * np.exp(2j * np.pi * 700 / RATE), 0.94 * np.exp(2j * np.pi * 1900 / RATE)]
         poles += [np.conj(p) for p in poles] + [0.85]
-        env = LpcModel(5, np.real(np.poly(poles))[1:], 1.0)
+        env = LpcModel(poles, 1.0)
         amps = env.magnitude(np.arange(1, 41) * 2 * np.pi * f0 / RATE)
         rng = np.random.default_rng(7)
         x = make_harmonic_signal(f0, amps / amps.max(), rng.uniform(0, 1, 40), RATE // 2, phi0=0.9)
@@ -522,8 +573,7 @@ class TestAnalyzeFrames:
                 assert got is None
             elif prev.envelope.order == fr.envelope.order:
                 warm += 1
-                assert got is not None
-                np.testing.assert_array_equal(got, prev.envelope.coefficients)
+                assert got is prev.envelope
         assert runs == 2
         assert warm >= 15
 

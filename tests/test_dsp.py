@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from voicing.dsp import (
     AudioBuffer,
@@ -268,16 +269,32 @@ class TestAllPoleFilter:
     def test_single_pole_geometric_impulse_response(self):
         x = np.zeros(8)
         x[0] = 1.0
-        y = all_pole_filter(x, [-0.5])  # pole at 0.5
+        y = all_pole_filter(x, [0.5])
         np.testing.assert_allclose(y, 0.5 ** np.arange(8), atol=1e-12)
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableFilterError):
-            all_pole_filter(np.ones(4), [-1.5])  # pole at 1.5
+            all_pole_filter(np.ones(4), [1.5])
 
     def test_marginal_pole_rejected(self):
         with pytest.raises(UnstableFilterError):
-            all_pole_filter(np.ones(4), [-1.0])  # pole on the unit circle
+            all_pole_filter(np.ones(4), [1.0])  # pole on the unit circle
+
+    def test_poles_not_closed_under_conjugation_rejected(self):
+        with pytest.raises(ValueError):
+            all_pole_filter(np.ones(4), [0.5 + 0.3j])
+        with pytest.raises(ValueError):
+            all_pole_filter(np.ones(4), [0.5 + 0.3j, 0.5 - 0.2j])
+
+    def test_sections_match_direct_form(self):
+        # conjugate pairs, an even and an odd number of real poles
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(300)
+        pair = 0.9 * np.exp(1j * 0.7)
+        for reals in ([], [0.6, -0.4], [0.6, -0.4, 0.2]):
+            poles = [pair, np.conj(pair)] + reals
+            expected = lfilter([0.7], np.real(np.poly(poles)), x)
+            np.testing.assert_allclose(all_pole_filter(x, poles, 0.7), expected, rtol=1e-10, atol=1e-12)
 
     def test_noise_spectrum_matches_response(self):
         # periodogram-average oracle: long white-noise run through an
@@ -292,7 +309,7 @@ class TestAllPoleFilter:
         n_fft = 4096
         n_seg = 400
         x = rng.standard_normal(n_fft * n_seg)
-        y = all_pole_filter(x, a, gain)
+        y = all_pole_filter(x, poles, gain)
         segs = y[: n_fft * n_seg].reshape(n_seg, n_fft) * np.hanning(n_fft)
         psd = np.mean(np.abs(np.fft.rfft(segs, axis=1)) ** 2, axis=0) / n_fft
         omega = np.pi * np.arange(n_fft // 2 + 1) / (n_fft // 2)

@@ -226,10 +226,9 @@ class TestFre:
         count = 40
         env_poles = [0.96 * np.exp(2j * np.pi * 700 / RATE), 0.94 * np.exp(2j * np.pi * 1900 / RATE)]
         env_poles += [np.conj(p) for p in env_poles] + [0.85]
-        coeffs = np.real(np.poly(env_poles))[1:]
         from voicing.analysis import LpcModel
 
-        env = LpcModel(len(coeffs), coeffs, 1.0)
+        env = LpcModel(env_poles, 1.0)
         omega_l = np.arange(1, count + 1) * 2 * np.pi * f0 / RATE
         amps = env.magnitude(omega_l)
         amps /= amps.max()
@@ -364,7 +363,7 @@ class TestGlo:
         )
         direct = all_pole_filter(
             np.concatenate([pulse.samples, np.zeros(2 * period)]),
-            model.coefficients,
+            model.poles,
             model.gain,
         )
         np.testing.assert_array_equal(out.samples[:period], direct[:period])
@@ -383,7 +382,7 @@ class TestGlo:
         for fc, bw in formants:
             r = np.exp(-np.pi * bw / RATE)
             poles += [r * np.exp(2j * np.pi * fc / RATE), r * np.exp(-2j * np.pi * fc / RATE)]
-        tract = LpcModel(len(poles), np.real(np.poly(poles))[1:], 1.0)
+        tract = LpcModel(poles, 1.0)
         omega_l = np.arange(1, count + 1) * 2 * np.pi * f0 / RATE
         source = synth_glottal_pulse(period, LfParams(open_quotient=0.66, return_quotient=0.03))
         source_mags = 2 * np.abs(dft(source.samples))[1 : count + 1] / period
