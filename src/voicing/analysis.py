@@ -25,6 +25,7 @@ _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
 _ENVELOPE_FLOOR_DB = -60.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
 _HARMONIC_SOLVE_ITERATIONS = 5  # relaxation rounds of the joint harmonic solve
+_ANALYSIS_LPC_ORDER = 18  # envelope order of a frame with at least nine lines
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +153,9 @@ def fit_lpc_envelope(
         thorough: give the refinement stage's single solve 1,500
             evaluations instead of 400, for oddly shaped targets (GLO's
             tilt-compensated ones) that a cold start needs longer to fit.
-        line_weights: optional per-harmonic importance multipliers for the
-            refinement stage (e.g. to de-emphasize bands the caller does
-            not care about).
+        line_weights: optional importance multiplier per harmonic, one per
+            entry of `magnitudes`, for the refinement stage (e.g. to
+            de-emphasize bands the caller does not care about).
         warm_start: a previously fitted LpcModel for a nearly identical
             target; its poles are the only starting point, which is both
             faster and steadier across a slowly evolving parameter track.
@@ -163,24 +164,21 @@ def fit_lpc_envelope(
             truncate the filter's response (finite tails) should lower it
             so the ringing dies out inside their window.
     """
-    mags = np.asarray(magnitudes, dtype=np.float64)
-    if mags.size == 0 or not np.any(mags > 0):
-        raise ValueError("cannot fit an envelope to all-zero magnitudes")
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < omega0 < np.pi:
         raise ValueError("omega0 must lie in (0, pi)")
+    mags = np.asarray(magnitudes, dtype=np.float64)
     omega_l = (np.arange(mags.size) + 1) * omega0
     keep = omega_l < np.pi
     omega_l, mags = omega_l[keep], mags[keep]
-    if line_weights is not None:
-        line_weights = np.asarray(line_weights, dtype=np.float64)[: mags.size]
+    if not np.any(mags > 0):
+        raise ValueError("cannot fit an envelope to all-zero magnitudes")
 
+    # the floor sits under the strongest line, so at least that line is active
     floor = mags.max() * 10.0 ** (_ENVELOPE_FLOOR_DB / 20.0)
     log_target = np.log(np.maximum(mags, floor))
     active = mags > floor  # lines raised onto the floor are not measurements
-    if not np.any(active):
-        active = np.ones_like(log_target, dtype=bool)
     grid = np.arange(_ENVELOPE_GRID + 1) * np.pi / _ENVELOPE_GRID
     log_s = np.interp(grid, omega_l, log_target)
 
@@ -200,9 +198,7 @@ def fit_lpc_envelope(
     # valleys; this stage does not)
     weights = np.where(active, 1.0, 0.25)
     if line_weights is not None:
-        padded = np.full(weights.size, line_weights[-1] if line_weights.size else 1.0)
-        padded[: line_weights.size] = line_weights[: weights.size]
-        weights = weights * padded
+        weights = weights * np.asarray(line_weights, dtype=np.float64)[keep]
     poles, gain = _refine_pole_fit(
         poles,
         omega_l,
@@ -395,32 +391,30 @@ class FrameParams:
         if self.voiced:
             if not 0 < self.omega0 < np.pi:
                 raise ValueError("voiced frame needs 0 < omega0 < pi")
-            if self.nrd.size and self.nrd.size * self.omega0 >= np.pi:
+            if max(self.nrd.size, self.magnitudes.size) * self.omega0 >= np.pi:
                 raise ValueError("harmonics must stay below Nyquist (L * omega0 < pi)")
 
 
-def harmonic_amplitudes(params: FrameParams, count: int | None = None) -> np.ndarray:
-    """Harmonic amplitudes A_l implied by a frame's a0 and envelope.
+def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
+    """Harmonic amplitudes A_l implied by a frame's a0 and envelope, one
+    per NRD entry (or per measured magnitude when the frame has no NRD).
 
-    The envelope is evaluated at (l+1)*omega0 and scaled so the
-    fundamental comes out at exactly a0.  Falls back to the measured
-    magnitudes when no envelope is present.
+    The envelope is evaluated at (l+1)*omega0, all below Nyquist by
+    `FrameParams`' check, and scaled so the fundamental comes out at a0.
+    Falls back to the measured magnitudes when no envelope is present.
     """
-    n = int(count) if count is not None else params.nrd.size or params.magnitudes.size
-    if n <= 0:
+    n = params.nrd.size or params.magnitudes.size
+    if n == 0:
         return np.zeros(0)
     if params.envelope is None:
         out = np.zeros(n)
         take = min(n, params.magnitudes.size)
         out[:take] = params.magnitudes[:take]
         return out
-    omega_l = (np.arange(n) + 1) * params.omega0
-    mags = params.envelope.magnitude(np.minimum(omega_l, np.pi * 0.9999))
+    mags = params.envelope.magnitude((np.arange(n) + 1) * params.omega0)
     ref = params.envelope.magnitude(np.array([params.omega0]))[0]
     scale = params.a0 / ref if ref > 0 else 0.0
-    out = mags * scale
-    out[omega_l >= np.pi] = 0.0
-    return out
+    return mags * scale
 
 
 def interpolate_params(left: FrameParams, right: FrameParams, t: float):
@@ -661,8 +655,6 @@ def analyze_frames(
     signal: AudioBuffer,
     frame_len: int = 1024,
     *,
-    hop: int | None = None,
-    lpc_order: int = 18,
     fmin: float = 60.0,
     fmax: float = 500.0,
 ) -> list[FrameParams]:
@@ -682,14 +674,14 @@ def analyze_frames(
     (`harmonic_snr_db`).  The floor is the median of the bins away from
     every harmonic, but never below the median bin magnitude that the
     rounding noise of a `source_bit_depth`-bit source leaves in the frame.
-    The envelope is fitted at order min(`lpc_order`, 2 * lines): poles
-    beyond one pair per line are constrained by nothing.  Each voiced
+    The envelope is fitted at order min(`_ANALYSIS_LPC_ORDER`, 2 * lines):
+    poles beyond one pair per line are constrained by nothing.  Each voiced
     frame's fit starts from the previous voiced frame's model when that
     model has the same order; the first frame of a voiced run, and any
     frame whose order differs from its predecessor's, starts cold.
     """
     n = int(frame_len)
-    hop = n // 2 if hop is None else int(hop)
+    hop = n // 2
     x = signal.samples
     if x.size < n:
         raise ValueError(f"signal shorter than one frame ({x.size} < {n})")
@@ -712,16 +704,12 @@ def analyze_frames(
 
     omega = [TWO_PI * f0 / rate if f0 else 0.0 for f0 in coarse_f0]
     cs: list[np.ndarray | None] = []
-    bins: list[np.ndarray | None] = []
     for m, spec in enumerate(spectra):
         if omega[m] <= 0.0:
             cs.append(None)
-            bins.append(None)
             continue
         count = harmonic_count_for(omega[m])
-        c, k_star = _solve_harmonics(spec, omega[m], count, n)
-        cs.append(c)
-        bins.append(k_star)
+        cs.append(_solve_harmonics(spec, omega[m], count, n)[0])
 
     # Cross-frame refinement of omega0 from harmonic phase advances.
     refined = list(omega)
@@ -787,7 +775,7 @@ def analyze_frames(
             envelope = fit_lpc_envelope(
                 amps,
                 w0,
-                min(lpc_order, 2 * count),
+                min(_ANALYSIS_LPC_ORDER, 2 * count),
                 warm_start=warm,
             )
         except ValueError:

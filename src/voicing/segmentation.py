@@ -17,6 +17,7 @@ from .analysis import nrd_from_phases
 from .dsp import AudioBuffer, cross_correlate, dft
 
 log = logging.getLogger(__name__)
+_LOST_THRESHOLD = 0.3  # normalized correlation under which periodicity counts as lost
 
 
 class SegmentationLost(RuntimeError):
@@ -107,13 +108,7 @@ def _local_maxima(values: np.ndarray) -> list[int]:
     return out
 
 
-def refine_period(
-    signal: AudioBuffer,
-    period_start: int,
-    period: int,
-    *,
-    lost_threshold: float = 0.3,
-) -> int:
+def refine_period(signal: AudioBuffer, period_start: int, period: int) -> int:
     """Update a period estimate from the two largest correlation maxima.
 
     The current period template is correlated against shifts S covering
@@ -125,7 +120,7 @@ def refine_period(
     half of the best one are not period candidates.
 
     Raises SegmentationLost when no local maximum exists or the best
-    normalized correlation falls below `lost_threshold`, and ValueError
+    normalized correlation falls below `_LOST_THRESHOLD`, and ValueError
     when the signal cannot cover the search window.
     """
     x = signal.samples
@@ -144,11 +139,11 @@ def refine_period(
         raise SegmentationLost(f"no correlation maximum at sample {start}")
     r_norm = cross_correlate(template, x[start:], maxima, normalized=True)
     best = float(np.max(r_norm))
-    if best < lost_threshold:
+    if best < _LOST_THRESHOLD:
         raise SegmentationLost(
-            f"best normalized correlation {best:.3f} below {lost_threshold} at sample {start}"
+            f"best normalized correlation {best:.3f} below {_LOST_THRESHOLD} at sample {start}"
         )
-    credible = [m for m, v in zip(maxima, r_norm) if v >= max(lost_threshold, 0.5 * best)]
+    credible = [m for m, v in zip(maxima, r_norm) if v >= max(_LOST_THRESHOLD, 0.5 * best)]
     top = sorted(sorted(credible, key=lambda s: r[s], reverse=True)[:2])
     if len(top) == 2:
         s1, s2 = top
@@ -236,8 +231,12 @@ def extract_period_params(signal: AudioBuffer, start: int, period: int) -> Pitch
 
 
 def auto_seed(signal: AudioBuffer, *, fmin: float = 60.0, fmax: float = 500.0) -> SeedRegion:
-    """Convenience seed from the strongest autocorrelation lag in the
-    first 100 ms.  Manual seeds are preferred for precision work."""
+    """Convenience seed from the autocorrelation of the first 100 ms.
+
+    A periodic signal's autocorrelation peaks nearly equally at every
+    multiple of its period, so the seed is the shortest lag whose peak
+    reaches 0.9 of the strongest one; either end of the lag range counts
+    as a peak.  Manual seeds are preferred for precision work."""
     x = signal.samples
     rate = signal.sample_rate
     lag_min = max(5, int(rate / fmax))
@@ -246,11 +245,13 @@ def auto_seed(signal: AudioBuffer, *, fmin: float = 60.0, fmax: float = 500.0) -
     if lag_max <= lag_min or window.size < 3 * lag_min:
         raise SegmentationLost("signal too short for automatic seeding")
     seg = window[: window.size - lag_max]
-    r = np.array([np.dot(seg, window[lag : lag + seg.size]) for lag in range(lag_min, lag_max + 1)])
+    r = cross_correlate(seg, window, np.arange(lag_min, lag_max + 1))
     e0 = np.dot(seg, seg)
     if e0 <= 0 or np.max(r) < 0.3 * e0:
         raise SegmentationLost("no periodicity found for automatic seeding")
-    lag = lag_min + int(np.argmax(r))
+    edged = np.concatenate([[-np.inf], r, [-np.inf]])
+    peaks = np.flatnonzero((r > edged[:-2]) & (r >= edged[2:]))
+    lag = lag_min + int(peaks[r[peaks] >= 0.9 * r.max()][0])
     return SeedRegion(start_sample=lag, end_sample=2 * lag)
 
 
@@ -259,7 +260,6 @@ def segment_track(
     seed: SeedRegion,
     *,
     max_periods: int | None = None,
-    lost_threshold: float = 0.3,
 ) -> PeriodTrack:
     """Partition a voiced region into consecutive pitch periods.
 
@@ -282,7 +282,7 @@ def segment_track(
         if max_periods is not None and len(track.periods) >= max_periods:
             break
         try:
-            est = refine_period(signal, cursor, est, lost_threshold=lost_threshold)
+            est = refine_period(signal, cursor, est)
         except SegmentationLost:
             track.lost = True
             break

@@ -32,6 +32,7 @@ from .analysis import (
 from .dsp import (
     AudioBuffer,
     all_pole_filter,
+    cross_correlate,
     dft,
     inverse_odft,
     make_sqrt_shifted_hanning,
@@ -40,9 +41,13 @@ from .dsp import (
 from .segmentation import harmonic_count
 
 TWO_PI = 2.0 * np.pi
+_FRE_BINS_PER_HARMONIC = 9  # ODFT bins FRE writes around each harmonic's peak
+_TIM_EXTENSION = 4  # samples of circular extension on each side of a TIM junction
 _GLO_ORDER_HEADROOM = 8  # poles GLO adds to lpc_order for the pulse-divided target
 _GLO_FOCUS_NORM_FREQ = 0.4  # top of GLO's full-weight band, as a fraction of Nyquist
 _GLO_TAIL_PERIODS = 3  # periods of filter output GLO keeps per pulse
+_COMPARE_FRAME_LEN = 1024  # analysis frame of compare_engines
+_COMPARE_MAGNITUDE_LIMIT_HZ = 4000.0  # highest line compare_engines' magnitude metrics cover
 
 
 @dataclass(frozen=True)
@@ -85,18 +90,21 @@ class SynthesisPlan:
     frames: list[FrameParams]
     sample_rate: int
     frame_len: int = 1024
-    hop: int | None = None
     total_length: int | None = None
     phi0_start: float = 0.0
 
     def __post_init__(self):
-        if self.hop is None:
-            self.hop = self.frame_len // 2
         if not self.frames:
             raise ValueError("plan needs at least one frame")
         if self.total_length is None:
             last = max(fp.frame_index for fp in self.frames)
             self.total_length = last * self.hop + self.frame_len
+
+    @property
+    def hop(self) -> int:
+        """Frame step: half a frame, the only hop at which FRE's windowed
+        overlap-add is an identity, and the one `analyze_frames` uses."""
+        return self.frame_len // 2
 
     def voiced_frames(self) -> list[FrameParams]:
         return [fp for fp in self.frames if fp.voiced]
@@ -156,11 +164,11 @@ def _inject_harmonic(spectrum, c, omega, n, half_width):
     np.add.at(spectrum, k[inside], images[inside])
 
 
-def synth_fre(plan: SynthesisPlan, *, bins_per_harmonic: int = 9) -> AudioBuffer:
+def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
     """Frequency-domain synthesis: harmonic bin injection, inverse ODFT,
     windowing, and 50%-overlap-add.
 
-    Each voiced frame contributes ``bins_per_harmonic`` complex ODFT bins
+    Each voiced frame contributes `_FRE_BINS_PER_HARMONIC` complex ODFT bins
     per harmonic, built from the analysis window's frequency response
     (magnitude and phase), the harmonic amplitudes implied by a0 and the
     envelope, and phases reassembled from phi0 and the NRD model.  Frames
@@ -175,7 +183,7 @@ def synth_fre(plan: SynthesisPlan, *, bins_per_harmonic: int = 9) -> AudioBuffer
     n = plan.frame_len
     hop = plan.hop
     w = make_sqrt_shifted_hanning(n)
-    half_width = bins_per_harmonic // 2
+    half_width = _FRE_BINS_PER_HARMONIC // 2
     voiced = plan.voiced_frames()
     if not voiced:
         raise ValueError("plan has no voiced frames")
@@ -206,7 +214,7 @@ def synth_fre(plan: SynthesisPlan, *, bins_per_harmonic: int = 9) -> AudioBuffer
 
     for index, fp, phi0 in renders:
         amps = harmonic_amplitudes(fp)
-        count = min(amps.size, int(np.floor(0.999 * np.pi / fp.omega0)))
+        count = amps.size
         if n < 3 * count:
             raise ValueError(
                 f"frame {fp.frame_index}: {count} harmonics need a frame of at least "
@@ -215,7 +223,7 @@ def synth_fre(plan: SynthesisPlan, *, bins_per_harmonic: int = 9) -> AudioBuffer
         ell1 = np.arange(1, count + 1)
         omega_l = ell1 * fp.omega0
         phases = TWO_PI * fp.nrd[:count] + ell1 * phi0
-        c = 0.5 * amps[:count] * np.exp(1j * (phases - np.pi / 2))
+        c = 0.5 * amps * np.exp(1j * (phases - np.pi / 2))
 
         spec = np.zeros(n, dtype=np.complex128)
         _inject_harmonic(spec, c, omega_l, n, half_width)
@@ -246,18 +254,18 @@ def _period_wave(period, amps, nrd):
     return np.sin(args) @ np.asarray(amps[:count])
 
 
-def synth_tim(plan: SynthesisPlan, *, extension: int = 4) -> AudioBuffer:
+def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
     """Combined frequency/time-domain synthesis.
 
     Periods are generated one at a time (length P = round(2 pi / omega0)
     from parameters interpolated at the period's own position), placed at
     cumulative offsets, and joined by circularly extending both sides of
-    each junction by `extension` samples and crossfading with a
+    each junction by `_TIM_EXTENSION` samples and crossfading with a
     piecewise-linear ramp over the overlap.
     """
     track = _ParamTrack(plan)
     total = plan.total_length
-    ext = int(extension)
+    ext = _TIM_EXTENSION
     ramp = (np.arange(1, 2 * ext + 1)) / (2 * ext + 1.0)
 
     position = 0
@@ -475,19 +483,18 @@ def synth_glo(
     shape_params: LfParams | None = None,
     *,
     lpc_order: int = 18,
-    tilt_compensation: bool = True,
 ) -> AudioBuffer:
     """Physiologically inspired synthesis.
 
     Per period: synthesize an LF glottal pulse of the local period
     length, filter it through a dedicated all-pole vocal tract model fit
-    to the interpolated target envelope (divided by the pulse's own
-    spectral tilt when `tilt_compensation` is on), keep
-    `_GLO_TAIL_PERIODS` periods of the filter output, and overlap-add at
-    the cumulative period offsets.  Harmonic phase structure comes
+    to the interpolated target envelope divided by the pulse's own line
+    magnitudes, keep `_GLO_TAIL_PERIODS` periods of the filter output, and
+    overlap-add at the cumulative period offsets.  Harmonic phase structure comes
     entirely from the pulse and filter, never from an NRD model.
 
-    The per-period model order is the least of three bounds:
+    The per-period model order is 0 (a gain alone) when `lpc_order` is 0,
+    and otherwise the least of three bounds:
     `lpc_order + _GLO_ORDER_HEADROOM`, since dividing by the pulse spectrum
     adds structure that a plain vowel-envelope order cannot carry;
     `harmonic_count(period) - 2`; and two poles per commanded line, since
@@ -517,24 +524,18 @@ def synth_glo(
         model = model_cache.get(key)
         if model is None:
             count = min(len(amps), harmonic_count(period))
-            if tilt_compensation:
-                refit_order = 0 if lpc_order == 0 else min(
-                    lpc_order + _GLO_ORDER_HEADROOM, harmonic_count(period) - 2, 2 * count
-                )
-                warm = prev_model if prev_model is not None and prev_model.order == refit_order else None
-                model = _tilt_compensated_model(
-                    amps,
-                    pulse.samples,
-                    period,
-                    TWO_PI / period,
-                    refit_order,
-                    warm_start=warm,
-                )
-            elif lpc_order == 0:
-                level = np.exp(np.mean(np.log(np.maximum(amps[:count], 1e-300))))
-                model = LpcModel(np.zeros(0), float(max(level, 1e-300)))
-            else:
-                model = fit_lpc_envelope(amps[:count], TWO_PI / period, lpc_order)
+            refit_order = 0 if lpc_order == 0 else min(
+                lpc_order + _GLO_ORDER_HEADROOM, harmonic_count(period) - 2, 2 * count
+            )
+            warm = prev_model if prev_model is not None and prev_model.order == refit_order else None
+            model = _tilt_compensated_model(
+                amps,
+                pulse.samples,
+                period,
+                TWO_PI / period,
+                refit_order,
+                warm_start=warm,
+            )
             model_cache[key] = model
         prev_model = model
 
@@ -552,37 +553,27 @@ def synth_glo(
 
 def _aligned_correlation(a: np.ndarray, b: np.ndarray, max_lag: int):
     """Best normalized correlation of b against a over lags within
-    +-max_lag.  Returns (correlation, lag)."""
+    +-max_lag, the first on ties.  Returns (correlation, lag)."""
     seg = min(a.size, b.size) - 2 * max_lag
     if seg <= 16:
         return 0.0, 0
-    ref = a[max_lag : max_lag + seg]
-    ref_norm = np.linalg.norm(ref)
-    best = (-np.inf, 0)
-    for lag in range(-max_lag, max_lag + 1):
-        win = b[max_lag + lag : max_lag + lag + seg]
-        denom = ref_norm * np.linalg.norm(win)
-        if denom <= 0:
-            continue
-        corr = float(np.dot(ref, win) / denom)
-        if corr > best[0]:
-            best = (corr, lag)
-    return best
+    corr = cross_correlate(
+        a[max_lag : max_lag + seg], b[: seg + 2 * max_lag], np.arange(2 * max_lag + 1), normalized=True
+    )
+    best = int(np.argmax(corr))
+    return float(corr[best]), best - max_lag
 
 
 def compare_engines(
     audio_a: AudioBuffer,
     audio_b: AudioBuffer,
     plan: SynthesisPlan | None = None,
-    *,
-    frame_len: int = 1024,
-    magnitude_limit_hz: float = 4000.0,
 ) -> dict:
     """Objective comparison report between two rendered signals.
 
     Reports the RMS difference of the frame-based f0 contours, the mean
     and max per-harmonic magnitude difference (dB, up to
-    `magnitude_limit_hz`), and the best shift-aligned waveform
+    `_COMPARE_MAGNITUDE_LIMIT_HZ`), and the best shift-aligned waveform
     correlation over sub-period lags.  With a plan, the magnitude metrics
     cover only the harmonics the plan commands at each frame (lines the
     analysis finds beyond them were rendered by no command), and each
@@ -590,6 +581,7 @@ def compare_engines(
     signal has no analyzable voiced frames the report carries diagnostics
     instead of metrics.
     """
+    frame_len = _COMPARE_FRAME_LEN
     frames_a = analyze_frames(audio_a, frame_len)
     frames_b = analyze_frames(audio_b, frame_len)
     voiced_a = {f.frame_index: f for f in frames_a if f.voiced}
@@ -623,7 +615,7 @@ def compare_engines(
             _, commanded, _ = track.at(i * (frame_len // 2) + frame_len // 2)
             count = min(count, commanded.size)
         freqs = (np.arange(1, count + 1)) * fa.omega0 * rate / TWO_PI
-        keep = freqs <= magnitude_limit_hz
+        keep = freqs <= _COMPARE_MAGNITUDE_LIMIT_HZ
         with np.errstate(divide="ignore", invalid="ignore"):
             d = 20.0 * np.log10(fa.magnitudes[:count][keep] / fb.magnitudes[:count][keep])
         diffs.append(d[np.isfinite(d)])

@@ -375,6 +375,47 @@ class TestInterpolateParams:
         np.testing.assert_allclose(nrd[3:], right.nrd[3:])
 
 
+class TestHarmonicAmplitudes:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(0.0, 0.99), st.floats(0.01, np.pi - 0.01)), min_size=0, max_size=8
+        ),
+        real=st.one_of(st.none(), st.floats(-0.99, 0.99)),
+        gain=st.floats(1e-3, 1e3),
+        f0=st.floats(60.0, 500.0),
+        lines=st.integers(1, 40),
+        a0=st.floats(1e-4, 10.0),
+    )
+    def test_fundamental_is_a0(self, pairs, real, gain, f0, lines, a0):
+        poles = [r * np.exp(s * 1j * theta) for r, theta in pairs for s in (1, -1)]
+        if real is not None:
+            poles.append(real)
+        omega0 = 2 * np.pi * f0 / RATE
+        lines = min(lines, int(np.ceil(np.pi / omega0)) - 1)
+        fp = FrameParams(
+            frame_index=0,
+            voiced=True,
+            omega0=omega0,
+            a0=a0,
+            nrd=np.zeros(lines),
+            envelope=LpcModel(np.asarray(poles, dtype=np.complex128), gain),
+        )
+        amps = harmonic_amplitudes(fp)
+        assert amps.size == lines
+        assert np.all(np.isfinite(amps)) and np.all(amps > 0)
+        # a0 / |H(omega0)| * |H(omega0)| rounds to within an ulp of a0
+        assert amps[0] == pytest.approx(a0, rel=1e-14)
+
+    def test_lines_at_nyquist_rejected(self):
+        omega0 = 2 * np.pi * 500.0 / RATE
+        count = int(np.ceil(np.pi / omega0))  # the last line at or above pi
+        with pytest.raises(ValueError, match="Nyquist"):
+            FrameParams(frame_index=0, voiced=True, omega0=omega0, magnitudes=np.ones(count))
+        with pytest.raises(ValueError, match="Nyquist"):
+            FrameParams(frame_index=0, voiced=True, omega0=omega0, nrd=np.zeros(count))
+
+
 class TestPitchEstimation:
     @staticmethod
     def _frame_spectrum(x, n):

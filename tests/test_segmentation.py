@@ -226,6 +226,21 @@ class TestSegmentTrack:
         seed = auto_seed(AudioBuffer(x, RATE))
         assert abs(seed.period - 200) <= 2
 
+    def test_auto_seed_not_a_multiple_of_the_period(self):
+        # the autocorrelation peaks nearly equally at P, 2P and 3P; the seed
+        # must be one period wherever the f0 sits on the lag grid, down to
+        # the lag range's ends (499 Hz lies on the 500 Hz bound's lag)
+        for f0 in np.arange(61.0, 500.0, 7.3):
+            seed = auto_seed(AudioBuffer(harmonic_wave(f0, [1.0, 0.5, 0.3], np.zeros(3), RATE // 2), RATE))
+            assert abs(seed.period - RATE / f0) <= 1, f0
+
+    def test_auto_seed_233hz_tracks_to_the_end(self):
+        # seeded at three periods, this tone used to emit no period and end lost
+        buf = AudioBuffer(harmonic_wave(233.0, [1.0, 0.5, 0.3], np.zeros(3), RATE // 2), RATE)
+        track = segment_track(buf, auto_seed(buf))
+        assert not track.lost
+        assert len(track) >= 110
+
     def test_auto_seed_noise_rejected(self):
         rng = np.random.default_rng(13)
         with pytest.raises(SegmentationLost):

@@ -19,6 +19,7 @@ from voicing.synthesis import (
     GlottalPulse,
     LfParams,
     SynthesisPlan,
+    _aligned_correlation,
     _inject_harmonic,
     _period_wave,
     _tilt_compensated_model,
@@ -314,6 +315,17 @@ class TestFre:
         assert rms(out[:hop]) == pytest.approx(interior, rel=0.01)
         assert rms(out[-hop:]) == pytest.approx(interior, rel=0.01)
 
+    def test_one_frame_input(self):
+        # a single 1,024-sample voiced frame goes through analysis, FRE and TIM
+        x = harmonic_wave(200.0, [1.0, 0.6, 0.4, 0.2], [0.0, 0.3, 0.6, 0.1], 1024)
+        frames = analyze_frames(AudioBuffer(x, RATE), 1024)
+        assert len(frames) == 1 and frames[0].voiced
+        plan = SynthesisPlan(frames=frames, sample_rate=RATE, frame_len=1024, total_length=x.size)
+        for engine in (synth_fre, synth_tim):
+            out = engine(plan).samples
+            assert out.size == 1024
+            assert np.all(np.isfinite(out))
+
     def test_overdense_harmonics_rejected(self):
         # more than N/3 harmonics cannot be injected (still below Nyquist)
         f0 = 60.0
@@ -334,17 +346,20 @@ def _analytic_filter(size):
 
 class TestGlo:
     def test_flat_envelope_identity(self):
-        # order-0 model, tilt compensation off: output is the tiled pulses
+        # order-0 model: output is the tiled pulses times one gain
         plan = stationary_plan(RATE / 200.0, np.ones(40), np.zeros(40), duration_s=0.3, order=4)
-        out = synth_glo(plan, lpc_order=0, tilt_compensation=False)
+        out = synth_glo(plan, lpc_order=0).samples
         period = 200
         pulse = synth_glottal_pulse(period).samples
-        expected = np.zeros(out.samples.size + 3 * period)
+        expected = np.zeros(out.size + 3 * period)
         pos = 0
-        while pos < out.samples.size:
+        while pos < out.size:
             expected[pos : pos + period] += pulse
             pos += period
-        np.testing.assert_allclose(out.samples, expected[: out.samples.size], atol=1e-12)
+        expected = expected[: out.size]
+        gain = np.dot(out, expected) / np.dot(expected, expected)
+        assert gain > 0
+        np.testing.assert_allclose(out, gain * expected, atol=1e-12 * gain)
 
     def test_first_period_matches_direct_convolution(self):
         # the per-period path is exactly: pulse -> all-pole filter -> 3P cut
@@ -485,6 +500,29 @@ class TestCompareEngines:
         rep = compare_engines(a, b, plan)
         assert rep["magnitude_diff_db_mean"] is not None
         assert rep["magnitude_diff_db_mean"] <= 3.0
+
+    def test_aligned_correlation_matches_per_lag_loop(self):
+        def per_lag_loop(a, b, max_lag):
+            seg = min(a.size, b.size) - 2 * max_lag
+            ref = a[max_lag : max_lag + seg]
+            best = (-np.inf, 0)
+            for lag in range(-max_lag, max_lag + 1):
+                win = b[max_lag + lag : max_lag + lag + seg]
+                corr = float(np.dot(ref, win) / (np.linalg.norm(ref) * np.linalg.norm(win)))
+                if corr > best[0]:
+                    best = (corr, lag)
+            return best
+
+        rng = np.random.default_rng(5)
+        x = harmonic_wave(130.0, [1.0, 0.6, 0.3, 0.2], [0.0, 0.2, 0.5, 0.9], RATE // 2 + 100)
+        x += 0.01 * rng.standard_normal(x.size)
+        max_lag = int(round(RATE / 130.0)) + 1
+        for shift in (0, 23, 61, 100):
+            a, b = x[: RATE // 2], x[shift : shift + RATE // 2]
+            corr, lag = _aligned_correlation(a, b, max_lag)
+            want_corr, want_lag = per_lag_loop(a, b, max_lag)
+            assert lag == want_lag
+            assert abs(corr - want_corr) <= 1e-12
 
     def test_unanalyzable_diagnostic(self):
         rng = np.random.default_rng(31)
