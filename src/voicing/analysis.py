@@ -26,6 +26,7 @@ _ENVELOPE_FLOOR_DB = -60.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
 _HARMONIC_SOLVE_ITERATIONS = 5  # relaxation rounds of the joint harmonic solve
 _ANALYSIS_LPC_ORDER = 18  # envelope order of a frame with at least nine lines
+F0_RANGE_HZ = (60.0, 500.0)  # fundamentals that pitch search and automatic seeding look for
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,8 @@ def _solve_yule_walker(r, order):
 @dataclass
 class FrameParams:
     """Per-frame parametric record: f0, fundamental magnitude/phase,
-    shift-invariant harmonic phase model (NRD), and magnitude envelope."""
+    shift-invariant harmonic phase model (NRD), and magnitude envelope
+    (None on the line records of `measure_frames`)."""
 
     frame_index: int
     voiced: bool
@@ -383,7 +385,6 @@ class FrameParams:
     nrd: np.ndarray = field(default_factory=lambda: np.zeros(0))
     magnitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
     envelope: LpcModel | None = None
-    harmonic_snr_db: np.ndarray | None = None
 
     def __post_init__(self):
         self.nrd = np.asarray(self.nrd, dtype=np.float64)
@@ -497,13 +498,7 @@ def _refine_peak(mags: np.ndarray, k: int, n: int, bin_hz: float):
     return freq, amp
 
 
-def estimate_pitch_frame(
-    spectrum,
-    sample_rate: float,
-    *,
-    fmin: float = 60.0,
-    fmax: float = 500.0,
-) -> float | None:
+def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
     """Fundamental frequency of one analysis frame, or None when unvoiced.
 
     Works on the ODFT of a frame windowed with the square-root shifted
@@ -512,7 +507,10 @@ def estimate_pitch_frame(
     small integers) are scored by how much refined-peak amplitude they
     explain (penalizing predicted-but-missing harmonics), and the winner
     is polished by a least-squares fit over its matched harmonics.
+    Candidates lie in `F0_RANGE_HZ`; the polished f0 is accepted from half
+    the range's low end to 1.5 times its high end.
     """
+    fmin, fmax = F0_RANGE_HZ
     spec = np.asarray(spectrum, dtype=np.complex128)
     n = spec.size
     half = n // 2
@@ -651,34 +649,23 @@ def _quantisation_floor(bit_depth, window) -> float:
     return float(np.sqrt(np.log(2.0) * np.sum(window**2) * step**2 / 12.0))
 
 
-def analyze_frames(
-    signal: AudioBuffer,
-    frame_len: int = 1024,
-    *,
-    fmin: float = 60.0,
-    fmax: float = 500.0,
-) -> list[FrameParams]:
-    """Frame-based ODFT parametric analysis.
+def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FrameParams]:
+    """Frame-based ODFT measurement of the harmonic lines.
 
     Splits the signal into `frame_len`-sample frames at 50% overlap,
     windows each with the square-root shifted Hanning window, and for
     every voiced frame estimates f0, per-harmonic magnitudes and phases
     (refined jointly across harmonics and, for the fundamental frequency,
-    across neighboring frames via phase differences), the NRD vector, and
-    an LPC magnitude envelope.  Unvoiced frames are flagged and carry no
-    parameters.
+    across neighboring frames via phase differences) and the NRD vector.
+    Unvoiced frames are flagged and carry no parameters.  No frame carries
+    an envelope: `analyze_frames` fits those.
 
     A frame keeps its harmonics up to the last one whose own image in its
     peak bin, |C_l W(nu_l - omega_l)| with the other lines' leakage solved
-    out, stands more than 12 dB above the frame's noise floor
-    (`harmonic_snr_db`).  The floor is the median of the bins away from
-    every harmonic, but never below the median bin magnitude that the
-    rounding noise of a `source_bit_depth`-bit source leaves in the frame.
-    The envelope is fitted at order min(`_ANALYSIS_LPC_ORDER`, 2 * lines):
-    poles beyond one pair per line are constrained by nothing.  Each voiced
-    frame's fit starts from the previous voiced frame's model when that
-    model has the same order; the first frame of a voiced run, and any
-    frame whose order differs from its predecessor's, starts cold.
+    out, stands more than 12 dB above the frame's noise floor.  The floor
+    is the median of the bins away from every harmonic, but never below
+    the median bin magnitude that the rounding noise of a
+    `source_bit_depth`-bit source leaves in the frame.
     """
     n = int(frame_len)
     hop = n // 2
@@ -696,7 +683,7 @@ def analyze_frames(
     for off in offsets:
         spec = odft(x[off : off + n] * w)
         spectra.append(spec)
-        coarse_f0.append(estimate_pitch_frame(spec, rate, fmin=fmin, fmax=fmax))
+        coarse_f0.append(estimate_pitch_frame(spec, rate))
 
     def harmonic_count_for(omega0):
         count = int(np.floor(0.98 * np.pi / omega0))
@@ -741,10 +728,7 @@ def analyze_frames(
             refined[m] = float(np.mean(parts))
 
     frames = []
-    prev_envelope = None
-    for m, off in enumerate(offsets):
-        # the previous frame's model, if that frame ended up voiced
-        warm, prev_envelope = prev_envelope, None
+    for m in range(len(offsets)):
         if omega[m] <= 0.0:
             frames.append(FrameParams(frame_index=m, voiced=False))
             continue
@@ -768,20 +752,7 @@ def analyze_frames(
             frames.append(FrameParams(frame_index=m, voiced=False))
             continue
         count = int(solid[-1]) + 1
-        amps, phases, snr_db, k_star = amps[:count], phases[:count], snr_db[:count], k_star[:count]
-        try:
-            # one pole pair per line at most: further poles are unconstrained;
-            # a warm start of another order is ignored by the fitter
-            envelope = fit_lpc_envelope(
-                amps,
-                w0,
-                min(_ANALYSIS_LPC_ORDER, 2 * count),
-                warm_start=warm,
-            )
-        except ValueError:
-            frames.append(FrameParams(frame_index=m, voiced=False))
-            continue
-        prev_envelope = envelope
+        amps, phases = amps[:count], phases[:count]
         frames.append(
             FrameParams(
                 frame_index=m,
@@ -791,8 +762,35 @@ def analyze_frames(
                 phi0=float(phases[0]),
                 nrd=nrd_from_phases(phases),
                 magnitudes=amps,
-                envelope=envelope,
-                harmonic_snr_db=np.asarray(snr_db, dtype=np.float64),
             )
         )
+    return frames
+
+
+def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FrameParams]:
+    """Frame-based ODFT parametric analysis: the line records of
+    `measure_frames`, each voiced one with an LPC magnitude envelope.
+
+    The envelope is fitted at order min(`_ANALYSIS_LPC_ORDER`, 2 * lines):
+    poles beyond one pair per line are constrained by nothing.  Each voiced
+    frame's fit starts from the previous frame's model when that frame is
+    voiced and its model has the same order; the first frame of a voiced
+    run, and any frame whose order differs from its predecessor's, starts
+    cold.  A frame whose fit fails is marked unvoiced.
+    """
+    frames = measure_frames(signal, frame_len)
+    warm = None
+    for m, fr in enumerate(frames):
+        if fr.voiced:
+            try:
+                # a warm start of another order is ignored by the fitter
+                fr.envelope = fit_lpc_envelope(
+                    fr.magnitudes,
+                    fr.omega0,
+                    min(_ANALYSIS_LPC_ORDER, 2 * fr.magnitudes.size),
+                    warm_start=warm,
+                )
+            except ValueError:
+                frames[m] = FrameParams(frame_index=fr.frame_index, voiced=False)
+        warm = frames[m].envelope
     return frames

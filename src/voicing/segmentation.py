@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import nrd_from_phases
+from .analysis import F0_RANGE_HZ, nrd_from_phases
 from .dsp import AudioBuffer, cross_correlate, dft
 
 log = logging.getLogger(__name__)
@@ -230,8 +230,9 @@ def extract_period_params(signal: AudioBuffer, start: int, period: int) -> Pitch
     )
 
 
-def auto_seed(signal: AudioBuffer, *, fmin: float = 60.0, fmax: float = 500.0) -> SeedRegion:
-    """Convenience seed from the autocorrelation of the first 100 ms.
+def auto_seed(signal: AudioBuffer) -> SeedRegion:
+    """Convenience seed from the autocorrelation of the first 100 ms, at
+    lags of the periods in `F0_RANGE_HZ`.
 
     A periodic signal's autocorrelation peaks nearly equally at every
     multiple of its period, so the seed is the shortest lag whose peak
@@ -239,6 +240,7 @@ def auto_seed(signal: AudioBuffer, *, fmin: float = 60.0, fmax: float = 500.0) -
     as a peak.  Manual seeds are preferred for precision work."""
     x = signal.samples
     rate = signal.sample_rate
+    fmin, fmax = F0_RANGE_HZ
     lag_min = max(5, int(rate / fmax))
     lag_max = min(int(rate / fmin), x.size // 3)
     window = x[: min(x.size, int(0.1 * rate) + 2 * lag_max)]

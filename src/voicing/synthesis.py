@@ -24,10 +24,10 @@ from scipy.optimize import brentq
 from .analysis import (
     FrameParams,
     LpcModel,
-    analyze_frames,
     fit_lpc_envelope,
     harmonic_amplitudes,
     interpolate_params,
+    measure_frames,
 )
 from .dsp import (
     AudioBuffer,
@@ -103,7 +103,7 @@ class SynthesisPlan:
     @property
     def hop(self) -> int:
         """Frame step: half a frame, the only hop at which FRE's windowed
-        overlap-add is an identity, and the one `analyze_frames` uses."""
+        overlap-add is an identity, and the one `measure_frames` uses."""
         return self.frame_len // 2
 
     def voiced_frames(self) -> list[FrameParams]:
@@ -133,13 +133,11 @@ class _ParamTrack:
 
     def at(self, position: float):
         a = self.anchors
-        if position <= a[0] or a.size == 1:
+        if a.size == 1:
             fp = self.frames[0]
             return fp.omega0, harmonic_amplitudes(fp), fp.nrd.copy()
-        if position >= a[-1]:
-            fp = self.frames[-1]
-            return fp.omega0, harmonic_amplitudes(fp), fp.nrd.copy()
-        j = int(np.searchsorted(a, position, side="right")) - 1
+        # outside the anchors t leaves [0, 1], where interpolate_params clamps
+        j = min(max(int(np.searchsorted(a, position, side="right")) - 1, 0), a.size - 2)
         t = (position - a[j]) / (a[j + 1] - a[j])
         return interpolate_params(self.frames[j], self.frames[j + 1], t)
 
@@ -571,6 +569,7 @@ def compare_engines(
 ) -> dict:
     """Objective comparison report between two rendered signals.
 
+    Both signals' lines come from `measure_frames`; no envelope is fitted.
     Reports the RMS difference of the frame-based f0 contours, the mean
     and max per-harmonic magnitude difference (dB, up to
     `_COMPARE_MAGNITUDE_LIMIT_HZ`), and the best shift-aligned waveform
@@ -582,8 +581,8 @@ def compare_engines(
     instead of metrics.
     """
     frame_len = _COMPARE_FRAME_LEN
-    frames_a = analyze_frames(audio_a, frame_len)
-    frames_b = analyze_frames(audio_b, frame_len)
+    frames_a = measure_frames(audio_a, frame_len)
+    frames_b = measure_frames(audio_b, frame_len)
     voiced_a = {f.frame_index: f for f in frames_a if f.voiced}
     voiced_b = {f.frame_index: f for f in frames_b if f.voiced}
     report: dict = {

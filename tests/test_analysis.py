@@ -17,6 +17,7 @@ from voicing.analysis import (
     fit_lpc_envelope,
     harmonic_amplitudes,
     interpolate_params,
+    measure_frames,
     nrd_from_phases,
     vertical_unwrap,
     wrap_cycles,
@@ -621,3 +622,19 @@ class TestAnalyzeFrames:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             analyze_frames(AudioBuffer(np.zeros(512), RATE), 1024)
+
+    def test_measured_lines_are_the_analysed_lines(self):
+        # a vowel, digital silence, the vowel again: analysis adds only envelopes
+        amps = np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12])
+        vowel = make_harmonic_signal(131.0, amps, [0.0, 0.3, 0.1, 0.6, 0.25, 0.8], 6144)
+        audio = AudioBuffer(np.concatenate([vowel, np.zeros(4096), vowel]), RATE)
+        measured = measure_frames(audio, 1024)
+        analysed = analyze_frames(audio, 1024)
+        assert len(measured) == len(analysed)
+        assert 0 < sum(f.voiced for f in measured) < len(measured)
+        fields = ("frame_index", "voiced", "omega0", "a0", "phi0")
+        for m, a in zip(measured, analysed):
+            assert m.envelope is None
+            assert [getattr(m, k) for k in fields] == [getattr(a, k) for k in fields]
+            np.testing.assert_array_equal(m.nrd, a.nrd)
+            np.testing.assert_array_equal(m.magnitudes, a.magnitudes)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import resample
 
-from voicing.analysis import FrameParams, analyze_frames, fit_lpc_envelope, wrap_cycles
+from voicing.analysis import FrameParams, analyze_frames, fit_lpc_envelope, measure_frames, wrap_cycles
 from voicing.dsp import (
     AudioBuffer,
     all_pole_filter,
@@ -273,8 +273,8 @@ class TestFre:
         assert rep["waveform_correlation"] >= 0.999
         assert rep["waveform_lag_samples"] != 0
         # NRD re-analysis unchanged
-        fr_a = [f for f in analyze_frames(out_a, 1024) if f.voiced][2:-2]
-        fr_b = [f for f in analyze_frames(out_b, 1024) if f.voiced][2:-2]
+        fr_a = [f for f in measure_frames(out_a, 1024) if f.voiced][2:-2]
+        fr_b = [f for f in measure_frames(out_b, 1024) if f.voiced][2:-2]
         nrd_a = np.median([wrap_cycles(f.nrd[:3]) for f in fr_a], axis=0)
         nrd_b = np.median([wrap_cycles(f.nrd[:3]) for f in fr_b], axis=0)
         diff = np.abs(nrd_a - nrd_b)
@@ -406,7 +406,7 @@ class TestGlo:
 
         plan = stationary_plan(f0, amps, np.zeros(count), duration_s=0.8, order=18)
         out = synth_glo(plan)
-        frames = [f for f in analyze_frames(out, 1024) if f.voiced][2:-2]
+        frames = [f for f in measure_frames(out, 1024) if f.voiced][2:-2]
         assert len(frames) >= 5
         limit = int(4000 // f0)
         measured = np.median([f.magnitudes[:limit] for f in frames if f.magnitudes.size >= limit], axis=0)
@@ -464,7 +464,7 @@ class TestGlide:
             out = engine(plan)
             assert out.samples.size == plan.total_length
             assert np.all(np.isfinite(out.samples))
-            voiced = [f for f in analyze_frames(out, 1024) if f.voiced]
+            voiced = [f for f in measure_frames(out, 1024) if f.voiced]
             assert len(voiced) >= len(plan.frames) - 2
             for f in voiced:
                 commanded = plan.frames[min(f.frame_index, len(plan.frames) - 1)].omega0
@@ -480,6 +480,20 @@ class TestCompareEngines:
         assert rep["magnitude_diff_db_mean"] == pytest.approx(0.0, abs=1e-12)
         assert rep["waveform_correlation"] == pytest.approx(1.0, abs=1e-12)
         assert rep["waveform_lag_samples"] == 0
+
+    def test_fits_no_envelope(self, monkeypatch):
+        # the report reads only measured lines, so envelope fitting must not run
+        import voicing.analysis as analysis_module
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("envelope fitted")
+
+        monkeypatch.setattr(analysis_module, "fit_lpc_envelope", no_fit)
+        plan = stationary_plan(118.0, [1.0, 0.7, 0.45, 0.3], [0.0, 0.2, 0.5, 0.9], duration_s=0.3, order=6)
+        out = synth_fre(plan)
+        assert all(f.envelope is None for f in measure_frames(out, 1024))
+        rep = compare_engines(out, synth_tim(plan), plan)
+        assert rep["magnitude_diff_db_mean"] is not None
 
     def test_fre_vs_tim_similar_waveforms(self):
         amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12]
