@@ -162,8 +162,8 @@ def fit_lpc_envelope(
             faster and steadier across a slowly evolving parameter track.
             A model of another order is ignored.
         max_pole_radius: hard cap on fitted pole radii.  Callers that
-            truncate the filter's response (finite tails) should lower it
-            so the ringing dies out inside their window.
+            render the filter's response until it decays should lower it
+            to bound that length.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -10,13 +10,14 @@ Three engines consume the same per-frame parameter stream:
   with a short circular-extension crossfade.
 * ``synth_glo`` -- physiological: each period is a Liljencrants-Fant
   glottal-flow-derivative pulse filtered by a per-period all-pole vocal
-  tract model (tilt-compensated), truncated at three periods and
+  tract model (tilt-compensated), kept until it has decayed and
   overlap-added.  No explicit harmonic phase model is consumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,12 +41,14 @@ from .dsp import (
 )
 from .segmentation import harmonic_count
 
+log = logging.getLogger(__name__)
+
 TWO_PI = 2.0 * np.pi
 _FRE_BINS_PER_HARMONIC = 9  # ODFT bins FRE writes around each harmonic's peak
 _TIM_EXTENSION = 4  # samples of circular extension on each side of a TIM junction
 _GLO_ORDER_HEADROOM = 8  # poles GLO adds to lpc_order for the pulse-divided target
 _GLO_FOCUS_NORM_FREQ = 0.4  # top of GLO's full-weight band, as a fraction of Nyquist
-_GLO_TAIL_PERIODS = 3  # periods of filter output GLO keeps per pulse
+_GLO_TAIL_DECAY = 1e-4  # level of the slowest pole's decay at which GLO ends a pulse's output
 _COMPARE_FRAME_LEN = 1024  # analysis frame of compare_engines
 _COMPARE_MAGNITUDE_LIMIT_HZ = 4000.0  # highest line compare_engines' magnitude metrics cover
 
@@ -383,14 +386,25 @@ def synth_glottal_pulse(period: int, shape_params: LfParams | None = None) -> Gl
     return GlottalPulse(period=p, samples=g, shape_params=shape)
 
 
+def _pulse_response(pulse_samples, model):
+    """The pulse through the model's filter, kept until it has decayed: the
+    pulse's P samples plus the samples in which the largest pole radius
+    falls under `_GLO_TAIL_DECAY`, rounded up to whole periods.  Overlap-added
+    at period offsets, such a tail renders each line l at the pulse's line
+    times |H(omega_l)|."""
+    period = pulse_samples.size
+    radius = np.max(np.abs(model.poles), initial=0.0)
+    decay = int(np.ceil(np.log(_GLO_TAIL_DECAY) / np.log(radius))) if radius > 0 else 0
+    length = period * (1 + -(-decay // period))
+    excitation = np.concatenate([pulse_samples, np.zeros(length - period)])
+    return all_pole_filter(excitation, model.poles, model.gain)
+
+
 def _rendered_line_magnitudes(pulse_samples, model, period, count):
-    """Line magnitudes actually produced by the per-period render path:
-    pulse through the filter, truncated at _GLO_TAIL_PERIODS * P,
-    overlap-added at period offsets (equivalently: folded into one period)."""
-    tail = _GLO_TAIL_PERIODS * period
-    excitation = np.concatenate([pulse_samples, np.zeros(tail - period)])
-    filtered = all_pole_filter(excitation, model.poles, model.gain)
-    folded = filtered.reshape(_GLO_TAIL_PERIODS, period).sum(axis=0)
+    """Line magnitudes the per-period render path produces: the decayed
+    pulse response folded into one period, which is what overlap-adding it
+    at period offsets gives."""
+    folded = _pulse_response(pulse_samples, model).reshape(-1, period).sum(axis=0)
     return 2.0 * np.abs(dft(folded)[1 : 1 + count]) / period
 
 
@@ -404,20 +418,16 @@ def _tilt_compensated_model(
     warm_start=None,
 ):
     """Per-period vocal tract model: target envelope divided by the
-    pulse's own line magnitudes, refit as an all-pole model.
+    pulse's own line magnitudes, fit once as an all-pole model.
 
     The inverse-source division leaves a target with more spectral
     structure than a plain vowel envelope, so a cold fit gets the envelope
     fitter's thorough budget, with full weight on the band below
     `_GLO_FOCUS_NORM_FREQ` (fraction of Nyquist, ~4.4 kHz at 22050 Hz).
-    The fit target is then corrected up to three times, in the log
-    domain, by how far the line magnitudes the truncated-tail render path
-    actually produces miss the command, which absorbs residual fit error
-    and truncation ringing (truncating a resonance's tail perturbs the
-    line right on the resonance by far more than the tail's energy
-    suggests).  Every model fitted is rendered.  The model whose render
-    misses least in the focus band is kept, and the corrections stop once
-    a round no longer lowers that miss.
+    Since GLO keeps each pulse's output until it has decayed, the division
+    is exact and the render misses the command only by the fit's own
+    error.  That miss over the focus band, measured on the render path, is
+    logged at DEBUG with the model's largest pole radius.
     """
     lines = harmonic_count(period)
     count = min(len(amps), lines)
@@ -431,7 +441,6 @@ def _tilt_compensated_model(
         return LpcModel(np.zeros(0), float(max(level, 1e-300)))
     nyquist_fraction = 2.0 * np.arange(1, lines + 1) / period
     weights = np.where(nyquist_fraction <= _GLO_FOCUS_NORM_FREQ, 1.0, 0.3)
-    tiny = target.max() * 1e-8
     # the pulse excites every harmonic up to Nyquist; those past the
     # commanded ones enter the fit as zeros (raised onto the fitter's floor)
     # at a weight low enough not to bend the fit of the commanded lines but
@@ -448,32 +457,15 @@ def _tilt_compensated_model(
         warm_start=warm_start,
         max_pole_radius=0.99,
     )
-    # correct the fit target in the log domain by the latest render's miss;
-    # keep the model whose render misses least in the focus band and stop
-    # once a round no longer lowers that miss
+    rendered = _rendered_line_magnitudes(pulse_samples, model, period, count)
     focus = weights[:count] > 0.5
-    log_target = np.log(np.maximum(target, tiny))
-    log_fit = np.log(np.maximum(compensated, tiny))
-    best, best_miss = model, np.inf
-    for corrections_left in (3, 2, 1, 0):  # the first fit and up to three corrections
-        rendered = _rendered_line_magnitudes(pulse_samples, model, period, count)
-        miss = log_target - np.log(np.maximum(rendered, tiny))
-        miss_db = 20.0 / np.log(10.0) * np.max(np.abs(miss[focus]))
-        if miss_db >= best_miss:
-            break
-        best, best_miss = model, miss_db
-        if miss_db < 0.2 or not corrections_left:
-            break
-        log_fit = log_fit + miss
-        model = fit_lpc_envelope(
-            np.concatenate([np.exp(log_fit), silent]),
-            omega0,
-            order,
-            line_weights=weights,
-            warm_start=model,
-            max_pole_radius=0.99,
-        )
-    return best
+    with np.errstate(divide="ignore"):
+        miss_db = np.max(np.abs(20.0 * np.log10(rendered[focus] / target[focus])))
+    log.debug(
+        "GLO period %d: order-%d model misses the focus band by %.2f dB; largest pole radius %.4f",
+        period, order, miss_db, np.max(np.abs(model.poles)),
+    )
+    return model
 
 
 def synth_glo(
@@ -487,8 +479,9 @@ def synth_glo(
     Per period: synthesize an LF glottal pulse of the local period
     length, filter it through a dedicated all-pole vocal tract model fit
     to the interpolated target envelope divided by the pulse's own line
-    magnitudes, keep `_GLO_TAIL_PERIODS` periods of the filter output, and
-    overlap-add at the cumulative period offsets.  Harmonic phase structure comes
+    magnitudes, keep the filter output until it has decayed
+    (`_pulse_response`), and overlap-add at the cumulative period offsets,
+    clipped at the plan's length.  Harmonic phase structure comes
     entirely from the pulse and filter, never from an NRD model.
 
     The per-period model order is 0 (a gain alone) when `lpc_order` is 0,
@@ -502,7 +495,7 @@ def synth_glo(
     shape = shape_params or LfParams()
     track = _ParamTrack(plan)
     total = plan.total_length
-    out = np.zeros(total + (_GLO_TAIL_PERIODS + 1) * int(np.ceil(TWO_PI / min(f.omega0 for f in plan.voiced_frames()))))
+    out = np.zeros(total)
 
     pulse_cache: dict[int, GlottalPulse] = {}
     model_cache: dict[bytes, LpcModel] = {}
@@ -537,12 +530,11 @@ def synth_glo(
             model_cache[key] = model
         prev_model = model
 
-        tail = _GLO_TAIL_PERIODS * period
-        excitation = np.concatenate([pulse.samples, np.zeros(tail - period)])
-        out[position : position + tail] += all_pole_filter(excitation, model.poles, model.gain)
+        response = _pulse_response(pulse.samples, model)[: total - position]
+        out[position : position + response.size] += response
         position += period
 
-    return AudioBuffer(_fit_length(out, total), plan.sample_rate)
+    return AudioBuffer(out, plan.sample_rate)
 
 
 # ---------------------------------------------------------------------------

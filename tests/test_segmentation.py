@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voicing.analysis import wrap_cycles
 from voicing.dsp import AudioBuffer
@@ -169,6 +171,21 @@ class TestSegmentTrack:
         starts = np.array([p.start_sample for p in track.periods])
         lengths = track.period_lengths
         np.testing.assert_array_equal(starts[1:], starts[:-1] + lengths[:-1])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        f0=st.floats(80.0, 400.0),
+        nrd=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+        phi0=st.floats(0.0, 2 * np.pi),
+    )
+    def test_contiguity_property(self, f0, nrd, phi0):
+        amps = 0.8 ** np.arange(len(nrd))
+        x = harmonic_wave(f0, amps, nrd, RATE // 4, phi0=phi0)
+        period = int(round(RATE / f0))
+        track = segment_track(AudioBuffer(x, RATE), SeedRegion(100, 100 + period))
+        assert len(track) >= 2
+        starts = np.array([p.start_sample for p in track.periods])
+        np.testing.assert_array_equal(starts[1:], starts[:-1] + track.period_lengths[:-1])
 
     def test_glide_monotone(self):
         # 220 -> 180 Hz linear glide over 0.5 s

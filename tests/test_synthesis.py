@@ -22,6 +22,7 @@ from voicing.synthesis import (
     _aligned_correlation,
     _inject_harmonic,
     _period_wave,
+    _rendered_line_magnitudes,
     _tilt_compensated_model,
     compare_engines,
     synth_fre,
@@ -362,7 +363,8 @@ class TestGlo:
         np.testing.assert_allclose(out, gain * expected, atol=1e-12 * gain)
 
     def test_first_period_matches_direct_convolution(self):
-        # the per-period path is exactly: pulse -> all-pole filter -> 3P cut
+        # the per-period path is exactly: pulse -> all-pole filter, and the
+        # first period is the first P samples of that response
         f0 = RATE / 200.0
         amps = np.array([1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.03])
         plan = stationary_plan(f0, amps, np.zeros(8), duration_s=0.05, order=8)
@@ -414,8 +416,8 @@ class TestGlo:
         diff_db = np.abs(20 * np.log10(measured / commanded))
         assert np.max(diff_db) <= 2.0
 
-    def test_every_fitted_model_is_rendered(self, monkeypatch):
-        # the correction loop must not fit a model it never renders
+    def test_one_fit_per_model(self, monkeypatch):
+        # each model is one fit, whose render is measured once
         import voicing.synthesis as synthesis_module
         from voicing.analysis import harmonic_amplitudes
 
@@ -444,8 +446,67 @@ class TestGlo:
         _tilt_compensated_model(
             harmonic_amplitudes(plan.frames[0]), pulse.samples, period, 2 * np.pi / period, 16
         )
-        assert counts["fits"] >= 1
-        assert counts["fits"] == counts["renders"]
+        assert counts == {"fits": 1, "renders": 1}
+
+    def test_render_is_pulse_lines_times_response(self):
+        # a tail kept until it decays makes the period fold exact, even for a
+        # pole on the 0.99 radius cap that rings for many periods
+        from voicing.analysis import LpcModel
+
+        poles = [0.99 * np.exp(0.3j), 0.99 * np.exp(-0.3j), 0.9 * np.exp(1.2j), 0.9 * np.exp(-1.2j)]
+        model = LpcModel(poles, 1.0)
+        for period in (88, 184, 368):
+            pulse = synth_glottal_pulse(period).samples
+            count = period // 2 - 1
+            omega_l = 2 * np.pi * np.arange(1, count + 1) / period
+            expected = 2 * np.abs(dft(pulse)[1 : count + 1]) / period * model.magnitude(omega_l)
+            got = _rendered_line_magnitudes(pulse, model, period, count)
+            assert np.max(np.abs(got - expected)) <= 1e-3 * expected.max(), period
+
+    def test_stationary_output_is_filtered_pulse_train(self, monkeypatch):
+        # with one model, overlap-adding decayed responses equals filtering
+        # the periodic pulse train through that model
+        import voicing.synthesis as synthesis_module
+
+        models = []
+
+        def recording(*args, **kwargs):
+            models.append(_tilt_compensated_model(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(synthesis_module, "_tilt_compensated_model", recording)
+        amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]
+        plan = stationary_plan(RATE / 200.0, amps, np.zeros(8), duration_s=0.3, order=10)
+        out = synth_glo(plan).samples
+        assert len(models) == 1
+        pulse = synth_glottal_pulse(200).samples
+        train = np.tile(pulse, -(-out.size // 200))[: out.size]
+        expected = all_pole_filter(train, models[0].poles, models[0].gain)
+        assert np.max(np.abs(out - expected)) <= 1e-5 * np.abs(expected).max()
+
+    def test_each_fit_is_logged(self, monkeypatch, caplog):
+        import voicing.synthesis as synthesis_module
+
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(fit_lpc_envelope(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(synthesis_module, "fit_lpc_envelope", recording)
+        amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]
+        plan = stationary_plan(RATE / 200.0, amps, np.zeros(8), duration_s=0.3, order=10)
+        with caplog.at_level("DEBUG", logger="voicing.synthesis"):
+            synth_glo(plan)
+        records = [r for r in caplog.records if r.name == "voicing.synthesis"]
+        assert len(fits) >= 1
+        assert len(records) == len(fits)
+        for record, model in zip(records, fits):
+            message = record.getMessage()
+            assert "period 200" in message
+            assert f"order-{model.order}" in message
+            assert " dB" in message
+            assert f"radius {np.max(np.abs(model.poles)):.4f}" in message
 
     def test_contour_roundtrip(self):
         plan = stationary_plan(110.0, [1.0, 0.7, 0.5, 0.3], np.zeros(4), duration_s=0.6, order=8)
