@@ -425,36 +425,30 @@ def interpolate_params(left: FrameParams, right: FrameParams, t: float):
     (derived from each side's envelope at matched harmonic indices), and
     unwrapped NRD values linearly.  When harmonic counts differ the common
     prefix is interpolated and the longer side's tail is carried over.
+    Every value is written as left + t * (right - left), with t clamped to
+    [0, 1], so t = 0 and identical sides give the left side bit-exactly;
+    t = 1 gives the right side as it is.
 
     Returns (omega0, amplitudes, nrd).
     """
     if not (left.voiced and right.voiced):
         raise ValueError("both frames must be voiced")
-    t = float(t)
+    t = min(max(float(t), 0.0), 1.0)
     la, ra = harmonic_amplitudes(left), harmonic_amplitudes(right)
-    if t <= 0.0:
-        return left.omega0, la, left.nrd.copy()
-    if t >= 1.0:
+    if t == 1.0:
         return right.omega0, ra, right.nrd.copy()
-    if (
-        left.omega0 == right.omega0
-        and np.array_equal(la, ra)
-        and np.array_equal(left.nrd, right.nrd)
-    ):
-        # identical sides: return them bit-exactly (lerp would wobble in
-        # the last ulp as t varies, defeating downstream caches)
-        return left.omega0, la, left.nrd.copy()
-    omega0 = (1.0 - t) * left.omega0 + t * right.omega0
+    omega0 = left.omega0 + t * (right.omega0 - left.omega0)
     c = min(la.size, ra.size)
     n = max(la.size, ra.size)
     amps = np.zeros(n)
     tiny = 1e-300
-    amps[:c] = np.exp((1.0 - t) * np.log(np.maximum(la[:c], tiny)) + t * np.log(np.maximum(ra[:c], tiny)))
+    log_ratio = np.log(np.maximum(ra[:c], tiny)) - np.log(np.maximum(la[:c], tiny))
+    amps[:c] = la[:c] * np.exp(t * log_ratio)
     longer_a = la if la.size >= ra.size else ra
     amps[c:] = longer_a[c:]
     nrd = np.zeros(n)
     cn = min(left.nrd.size, right.nrd.size)
-    nrd[:cn] = (1.0 - t) * left.nrd[:cn] + t * right.nrd[:cn]
+    nrd[:cn] = left.nrd[:cn] + t * (right.nrd[:cn] - left.nrd[:cn])
     longer_n = left.nrd if left.nrd.size >= right.nrd.size else right.nrd
     nrd[cn : longer_n.size] = longer_n[cn:]
     return omega0, amps, nrd

@@ -108,51 +108,6 @@ def _sine_ratio(theta: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def closed_form_sine_dft(amplitude: float, harmonic: int, phase: float, period: int) -> np.ndarray:
-    """Closed-form P-point DFT of one sampled harmonic sinusoid.
-
-    The time signal is A * sin((harmonic + 1) * (2 pi / P) * n + phase) for
-    n = 0..P-1.  Each bin is the sum of two Dirichlet-kernel terms (the
-    positive- and negative-frequency images); the removable singularities
-    at k = harmonic + 1 and k = P - harmonic - 1 are handled by exact
-    limit substitution, so the result matches the numeric DFT to rounding
-    precision.
-
-    Args:
-        amplitude: linear amplitude A.
-        harmonic: harmonic index (0 means the fundamental, bin 1).
-        phase: starting phase in radians.
-        period: transform length P in samples, >= 2.
-    """
-    p = int(period)
-    ell1 = int(harmonic) + 1
-    if p < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
-    if harmonic < 0 or ell1 >= p:
-        raise ValueError(f"harmonic {harmonic} out of range for period {period}")
-
-    k = np.arange(p)
-    diff = ell1 - k
-    summ = ell1 + k
-    alpha = np.pi * diff / p
-    beta = np.pi * summ / p
-    theta = phase - np.pi / 2 + np.pi * (1.0 - 1.0 / p) * diff
-    gamma = -phase + np.pi / 2 - np.pi * (1.0 - 1.0 / p) * summ
-
-    # Singular bins are known exactly from the integer indices.
-    ratio_a = np.empty(p)
-    ratio_b = np.empty(p)
-    sing_a = diff == 0
-    sing_b = summ == p
-    ratio_a[~sing_a] = np.sin(alpha[~sing_a] * p) / np.sin(alpha[~sing_a])
-    ratio_a[sing_a] = p
-    ratio_b[~sing_b] = np.sin(beta[~sing_b] * p) / np.sin(beta[~sing_b])
-    ratio_b[sing_b] = p if (p - 1) % 2 == 0 else -p
-
-    half = amplitude / 2.0
-    return half * ratio_a * np.exp(1j * theta) + half * ratio_b * np.exp(1j * gamma)
-
-
 def sine_window_spectrum(n: int, nu) -> np.ndarray:
     """Discrete-time Fourier transform of the length-n sine window.
 

@@ -24,7 +24,6 @@ from scipy.optimize import brentq
 
 from .analysis import (
     FrameParams,
-    LpcModel,
     fit_lpc_envelope,
     harmonic_amplitudes,
     interpolate_params,
@@ -46,7 +45,7 @@ log = logging.getLogger(__name__)
 TWO_PI = 2.0 * np.pi
 _FRE_BINS_PER_HARMONIC = 9  # ODFT bins FRE writes around each harmonic's peak
 _TIM_EXTENSION = 4  # samples of circular extension on each side of a TIM junction
-_GLO_ORDER_HEADROOM = 8  # poles GLO adds to lpc_order for the pulse-divided target
+_GLO_MAX_ORDER = 26  # highest order of a GLO vocal-tract model
 _GLO_FOCUS_NORM_FREQ = 0.4  # top of GLO's full-weight band, as a fraction of Nyquist
 _GLO_TAIL_DECAY = 1e-4  # level of the slowest pole's decay at which GLO ends a pulse's output
 _COMPARE_FRAME_LEN = 1024  # analysis frame of compare_engines
@@ -102,6 +101,8 @@ class SynthesisPlan:
         if self.total_length is None:
             last = max(fp.frame_index for fp in self.frames)
             self.total_length = last * self.hop + self.frame_len
+        if self.total_length < 1:
+            raise ValueError(f"total_length must be at least 1 sample, got {self.total_length}")
 
     @property
     def hop(self) -> int:
@@ -143,6 +144,19 @@ class _ParamTrack:
         j = min(max(int(np.searchsorted(a, position, side="right")) - 1, 0), a.size - 2)
         t = (position - a[j]) / (a[j + 1] - a[j])
         return interpolate_params(self.frames[j], self.frames[j + 1], t)
+
+    def periods(self, total: int):
+        """Walk [0, total) one period at a time: yields (position, period,
+        amps, nrd), with period = round(2 pi / omega0) and the parameters
+        interpolated at the period's own start."""
+        position = 0
+        while position < total:
+            omega0, amps, nrd = self.at(position)
+            if not omega0 > 0:
+                raise ValueError(f"non-positive interpolated omega0 at sample {position}")
+            period = int(round(TWO_PI / omega0))
+            yield position, period, amps, nrd
+            position += period
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +278,13 @@ def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
     each junction by `_TIM_EXTENSION` samples and crossfading with a
     piecewise-linear ramp over the overlap.
     """
-    track = _ParamTrack(plan)
     total = plan.total_length
     ext = _TIM_EXTENSION
     ramp = (np.arange(1, 2 * ext + 1)) / (2 * ext + 1.0)
-
-    position = 0
-    periods = []
-    while position < total:
-        omega0, amps, nrd = track.at(position)
-        if not omega0 > 0:
-            raise ValueError(f"non-positive interpolated omega0 at sample {position}")
-        period = int(round(TWO_PI / omega0))
-        if period < 5:
-            raise ValueError(f"interpolated period {period} too short at sample {position}")
-        periods.append((position, _period_wave(period, amps, nrd)))
-        position += period
+    periods = [
+        (position, _period_wave(period, amps, nrd))
+        for position, period, amps, nrd in _ParamTrack(plan).periods(total)
+    ]
 
     last_start, last_wave = periods[-1]
     out = np.zeros(last_start + last_wave.size + ext + 1)
@@ -308,14 +313,8 @@ def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
 # GLO: glottal-pulse excitation filtered per period
 # ---------------------------------------------------------------------------
 
-_LF_CACHE: dict[tuple, tuple[float, float, float]] = {}
-
-
 def _lf_constants(shape: LfParams):
     """Solve the pulse constants: growth rate, return rate, and onset gain."""
-    key = (shape.open_quotient, shape.asymmetry, shape.return_quotient)
-    if key in _LF_CACHE:
-        return _LF_CACHE[key]
     te = shape.open_quotient
     tp = shape.asymmetry * te
     ta = shape.return_quotient
@@ -351,7 +350,6 @@ def _lf_constants(shape: LfParams):
         raise ValueError(f"no flow balance for shape {shape}")
     alpha = brentq(net_area, lo, hi, xtol=1e-12, rtol=1e-15)
     e0 = -1.0 / (np.exp(alpha * te) * sin_e)
-    _LF_CACHE[key] = (alpha, eps, e0)
     return alpha, eps, e0
 
 
@@ -408,37 +406,35 @@ def _rendered_line_magnitudes(pulse_samples, model, period, count):
     return 2.0 * np.abs(dft(folded)[1 : 1 + count]) / period
 
 
-def _tilt_compensated_model(
-    amps,
-    pulse_samples,
-    period,
-    omega0,
-    order,
-    *,
-    warm_start=None,
-):
+def _tilt_compensated_model(amps, pulse_samples, period, *, warm_start=None):
     """Per-period vocal tract model: target envelope divided by the
     pulse's own line magnitudes, fit once as an all-pole model.
+
+    The order is the least of three bounds: `_GLO_MAX_ORDER`, since
+    dividing by the pulse spectrum adds structure that a plain
+    vowel-envelope order cannot carry; `harmonic_count(period) - 2`; and
+    two poles per commanded line, since further poles are left
+    unconstrained by the lines and drift onto the radius cap.
 
     The inverse-source division leaves a target with more spectral
     structure than a plain vowel envelope, so a cold fit gets the envelope
     fitter's thorough budget, with full weight on the band below
     `_GLO_FOCUS_NORM_FREQ` (fraction of Nyquist, ~4.4 kHz at 22050 Hz).
-    Since GLO keeps each pulse's output until it has decayed, the division
-    is exact and the render misses the command only by the fit's own
-    error.  That miss over the focus band, measured on the render path, is
-    logged at DEBUG with the model's largest pole radius.
+    A `warm_start` of the same order is the fit's only start; one of
+    another order is ignored.  Since GLO keeps each pulse's output until
+    it has decayed, the division is exact and the render misses the
+    command only by the fit's own error.  That miss over the focus band,
+    measured on the render path, is logged at DEBUG with the model's
+    largest pole radius.
     """
     lines = harmonic_count(period)
     count = min(len(amps), lines)
+    order = min(_GLO_MAX_ORDER, lines - 2, 2 * count)
     target = np.asarray(amps[:count], dtype=np.float64)
     spec = dft(pulse_samples)
     pulse_mags = 2.0 * np.abs(spec[1 : 1 + lines]) / period
     pulse_mags = np.maximum(pulse_mags, pulse_mags.max() * 1e-3)
     compensated = target / pulse_mags[:count]
-    if order == 0:
-        level = np.exp(np.mean(np.log(np.maximum(compensated, 1e-300))))
-        return LpcModel(np.zeros(0), float(max(level, 1e-300)))
     nyquist_fraction = 2.0 * np.arange(1, lines + 1) / period
     weights = np.where(nyquist_fraction <= _GLO_FOCUS_NORM_FREQ, 1.0, 0.3)
     # the pulse excites every harmonic up to Nyquist; those past the
@@ -450,9 +446,9 @@ def _tilt_compensated_model(
 
     model = fit_lpc_envelope(
         np.concatenate([compensated, silent]),
-        omega0,
+        TWO_PI / period,
         order,
-        thorough=warm_start is None,
+        thorough=True,
         line_weights=weights,
         warm_start=warm_start,
         max_pole_radius=0.99,
@@ -468,71 +464,36 @@ def _tilt_compensated_model(
     return model
 
 
-def synth_glo(
-    plan: SynthesisPlan,
-    shape_params: LfParams | None = None,
-    *,
-    lpc_order: int = 18,
-) -> AudioBuffer:
+def synth_glo(plan: SynthesisPlan) -> AudioBuffer:
     """Physiologically inspired synthesis.
 
     Per period: synthesize an LF glottal pulse of the local period
-    length, filter it through a dedicated all-pole vocal tract model fit
-    to the interpolated target envelope divided by the pulse's own line
-    magnitudes, keep the filter output until it has decayed
-    (`_pulse_response`), and overlap-add at the cumulative period offsets,
-    clipped at the plan's length.  Harmonic phase structure comes
-    entirely from the pulse and filter, never from an NRD model.
+    length, filter it through an all-pole vocal tract model fit to the
+    interpolated target envelope divided by the pulse's own line
+    magnitudes (`_tilt_compensated_model`), keep the filter output until
+    it has decayed (`_pulse_response`), and overlap-add at the cumulative
+    period offsets, clipped at the plan's length.  Harmonic phase
+    structure comes entirely from the pulse and filter, never from an NRD
+    model.
 
-    The per-period model order is 0 (a gain alone) when `lpc_order` is 0,
-    and otherwise the least of three bounds:
-    `lpc_order + _GLO_ORDER_HEADROOM`, since dividing by the pulse spectrum
-    adds structure that a plain vowel-envelope order cannot carry;
-    `harmonic_count(period) - 2`; and two poles per commanded line, since
-    further poles are left unconstrained by the lines and drift onto the
-    radius cap.
+    One model is kept: it is refit only when a period's command (its
+    length and amplitudes) differs from the last fitted one, starting from
+    the last model.
     """
-    shape = shape_params or LfParams()
-    track = _ParamTrack(plan)
     total = plan.total_length
     out = np.zeros(total)
-
-    pulse_cache: dict[int, GlottalPulse] = {}
-    model_cache: dict[bytes, LpcModel] = {}
-    prev_model: LpcModel | None = None
-    position = 0
-    while position < total:
-        omega0, amps, _ = track.at(position)
-        if not omega0 > 0:
-            raise ValueError(f"non-positive interpolated omega0 at sample {position}")
-        period = int(round(TWO_PI / omega0))
-        if period < 16:
-            raise ValueError(f"interpolated period {period} too short for a glottal pulse")
-        if period not in pulse_cache:
-            pulse_cache[period] = synth_glottal_pulse(period, shape)
-        pulse = pulse_cache[period]
-        key = np.asarray(amps).tobytes() + period.to_bytes(4, "little")
-        model = model_cache.get(key)
-        if model is None:
-            count = min(len(amps), harmonic_count(period))
-            refit_order = 0 if lpc_order == 0 else min(
-                lpc_order + _GLO_ORDER_HEADROOM, harmonic_count(period) - 2, 2 * count
-            )
-            warm = prev_model if prev_model is not None and prev_model.order == refit_order else None
-            model = _tilt_compensated_model(
-                amps,
-                pulse.samples,
-                period,
-                TWO_PI / period,
-                refit_order,
-                warm_start=warm,
-            )
-            model_cache[key] = model
-        prev_model = model
-
+    pulses: dict[int, GlottalPulse] = {}
+    command = None
+    model = None
+    for position, period, amps, _ in _ParamTrack(plan).periods(total):
+        if period not in pulses:
+            pulses[period] = synth_glottal_pulse(period)
+        pulse = pulses[period]
+        if command is None or command[0] != period or not np.array_equal(command[1], amps):
+            model = _tilt_compensated_model(amps, pulse.samples, period, warm_start=model)
+            command = (period, amps)
         response = _pulse_response(pulse.samples, model)[: total - position]
         out[position : position + response.size] += response
-        position += period
 
     return AudioBuffer(out, plan.sample_rate)
 

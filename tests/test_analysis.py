@@ -361,6 +361,23 @@ class TestInterpolateParams:
         np.testing.assert_array_equal(nrd1, right.nrd)
         np.testing.assert_array_equal(amps1, harmonic_amplitudes(right))
 
+    def test_identical_sides_exact(self):
+        left = self._frame(0, 110, [1.0, 0.5, 0.25, 0.1], [0.0, 0.1, 0.2, 0.3])
+        right = FrameParams(
+            frame_index=1,
+            voiced=True,
+            omega0=left.omega0,
+            a0=left.a0,
+            nrd=left.nrd.copy(),
+            magnitudes=left.magnitudes.copy(),
+            envelope=left.envelope,
+        )
+        for t in (0.0, 0.3, 0.7, 0.999):
+            w, amps, nrd = interpolate_params(left, right, t)
+            assert w == left.omega0
+            np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
+            np.testing.assert_array_equal(nrd, left.nrd)
+
     def test_midpoint_omega(self):
         left = self._frame(0, 110, [1.0, 0.5], [0.0, 0.1], order=2)
         right = self._frame(1, 120, [1.0, 0.5], [0.0, 0.1], order=2)

@@ -8,7 +8,6 @@ from voicing.dsp import (
     AudioBuffer,
     UnstableFilterError,
     all_pole_filter,
-    closed_form_sine_dft,
     cross_correlate,
     dft,
     inverse_odft,
@@ -160,46 +159,6 @@ class TestOdft:
         rng = np.random.default_rng(19)
         x, y = rng.standard_normal((2, 64))
         np.testing.assert_allclose(odft(2.5 * x - 1.5 * y), 2.5 * odft(x) - 1.5 * odft(y), atol=1e-9)
-
-
-class TestClosedFormSineDft:
-    def test_fundamental_exact_two_bins(self):
-        for p in (8, 13, 50):
-            spec = closed_form_sine_dft(1.0, 0, 0.0, p)
-            expected_bin1 = (p / 2.0) * np.exp(-1j * np.pi / 2)
-            assert spec[1] == pytest.approx(expected_bin1, abs=1e-9)
-            assert spec[p - 1] == pytest.approx(np.conj(expected_bin1), abs=1e-9)
-            others = np.delete(spec, [1, p - 1])
-            assert np.max(np.abs(others)) < 1e-9 * p
-
-    def test_cosine_case_real_positive(self):
-        spec = closed_form_sine_dft(1.0, 0, np.pi / 2, 12)
-        assert np.angle(spec[1]) == pytest.approx(0.0, abs=1e-12)
-        assert spec[1].real > 0
-
-    def test_matches_numeric_dft(self):
-        p, ell, phi, amp = 50, 2, 0.7, 1.3
-        n = np.arange(p)
-        x = amp * np.sin((ell + 1) * 2 * np.pi * n / p + phi)
-        np.testing.assert_allclose(closed_form_sine_dft(amp, ell, phi, p), dft(x), atol=1e-9)
-
-    def test_small_grid_against_numeric(self):
-        rng = np.random.default_rng(23)
-        for p in range(5, 33):
-            for ell in range(0, p // 2 - 1):
-                phi = rng.uniform(0, 2 * np.pi)
-                n = np.arange(p)
-                x = np.sin((ell + 1) * 2 * np.pi * n / p + phi)
-                err = np.max(np.abs(closed_form_sine_dft(1.0, ell, phi, p) - dft(x)))
-                assert err <= 1e-9 * p
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            closed_form_sine_dft(1.0, 3, 0.0, 4)
-        with pytest.raises(ValueError):
-            closed_form_sine_dft(1.0, -1, 0.0, 8)
-        with pytest.raises(ValueError):
-            closed_form_sine_dft(1.0, 0, 0.0, 1)
 
 
 class TestSineWindowSpectrum:

@@ -193,6 +193,12 @@ class TestTim:
             synth_tim(plan)
 
 
+    def test_too_short_period_rejected(self):
+        plan = stationary_plan(RATE / 4.0, [1.0], [0.0], duration_s=0.1, order=1)
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            synth_tim(plan)
+
+
 class TestFre:
     def test_ola_completeness(self):
         # constant unit spectra tile to constant gain: sum of squared
@@ -346,38 +352,19 @@ def _analytic_filter(size):
 
 
 class TestGlo:
-    def test_flat_envelope_identity(self):
-        # order-0 model: output is the tiled pulses times one gain
-        plan = stationary_plan(RATE / 200.0, np.ones(40), np.zeros(40), duration_s=0.3, order=4)
-        out = synth_glo(plan, lpc_order=0).samples
-        period = 200
-        pulse = synth_glottal_pulse(period).samples
-        expected = np.zeros(out.size + 3 * period)
-        pos = 0
-        while pos < out.size:
-            expected[pos : pos + period] += pulse
-            pos += period
-        expected = expected[: out.size]
-        gain = np.dot(out, expected) / np.dot(expected, expected)
-        assert gain > 0
-        np.testing.assert_allclose(out, gain * expected, atol=1e-12 * gain)
-
     def test_first_period_matches_direct_convolution(self):
         # the per-period path is exactly: pulse -> all-pole filter, and the
         # first period is the first P samples of that response
         f0 = RATE / 200.0
         amps = np.array([1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.03])
         plan = stationary_plan(f0, amps, np.zeros(8), duration_s=0.05, order=8)
-        out = synth_glo(plan, lpc_order=8)
+        out = synth_glo(plan)
         period = 200
         pulse = synth_glottal_pulse(period)
-        # interpolated amplitudes at position 0 equal the first frame's;
-        # the engine refits with 8 orders of headroom over lpc_order
+        # interpolated amplitudes at position 0 equal the first frame's
         from voicing.analysis import harmonic_amplitudes
 
-        model = _tilt_compensated_model(
-            harmonic_amplitudes(plan.frames[0]), pulse.samples, period, 2 * np.pi / period, 16
-        )
+        model = _tilt_compensated_model(harmonic_amplitudes(plan.frames[0]), pulse.samples, period)
         direct = all_pole_filter(
             np.concatenate([pulse.samples, np.zeros(2 * period)]),
             model.poles,
@@ -442,10 +429,7 @@ class TestGlo:
         plan = stationary_plan(118.0, amps, np.zeros(8), duration_s=0.3, order=10)
         period = int(round(RATE / 118.0))
         pulse = synth_glottal_pulse(period)
-        # order 16: synth_glo's two poles per commanded line
-        _tilt_compensated_model(
-            harmonic_amplitudes(plan.frames[0]), pulse.samples, period, 2 * np.pi / period, 16
-        )
+        _tilt_compensated_model(harmonic_amplitudes(plan.frames[0]), pulse.samples, period)
         assert counts == {"fits": 1, "renders": 1}
 
     def test_render_is_pulse_lines_times_response(self):
@@ -516,6 +500,54 @@ class TestGlo:
         assert set(np.unique(track.period_lengths)) <= {200, 201}
 
 
+    def test_too_short_period_rejected(self):
+        plan = stationary_plan(RATE / 10.0, [1.0, 0.5], [0.0, 0.0], duration_s=0.1, order=2)
+        with pytest.raises(ValueError, match="at least 16 samples"):
+            synth_glo(plan)
+
+    def test_refits_only_when_the_command_changes(self, monkeypatch):
+        # frames 0-3 command A and frames 4-7 command B at one period of 200
+        # samples.  Periods start at multiples of 200, and only 2200 and
+        # 2400 fall strictly between the anchors of frames 3 and 4 (2048 and
+        # 2560), so: one fit for A, one per transition command, one for B
+        import voicing.synthesis as synthesis_module
+        from voicing.analysis import harmonic_amplitudes
+
+        calls = []
+
+        def recording(amps, pulse_samples, period, *, warm_start=None):
+            model = _tilt_compensated_model(amps, pulse_samples, period, warm_start=warm_start)
+            calls.append((np.array(amps), warm_start, model))
+            return model
+
+        monkeypatch.setattr(synthesis_module, "_tilt_compensated_model", recording)
+        omega0 = 2 * np.pi / 200
+        commands = [
+            np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]),
+            np.array([1.0, 0.5, 0.6, 0.2, 0.25, 0.1, 0.05, 0.04]),
+        ]
+        envelopes = [fit_lpc_envelope(amps, omega0, 10) for amps in commands]
+        frames = [
+            FrameParams(
+                frame_index=m,
+                voiced=True,
+                omega0=omega0,
+                a0=1.0,
+                nrd=np.zeros(8),
+                magnitudes=commands[m // 4],
+                envelope=envelopes[m // 4],
+            )
+            for m in range(8)
+        ]
+        synth_glo(SynthesisPlan(frames=frames, sample_rate=RATE))
+        assert len(calls) == 4
+        np.testing.assert_array_equal(calls[0][0], harmonic_amplitudes(frames[0]))
+        np.testing.assert_array_equal(calls[-1][0], harmonic_amplitudes(frames[-1]))
+        assert calls[0][1] is None
+        for (_, warm, _), (_, _, previous) in zip(calls[1:], calls[:-1]):
+            assert warm is previous
+
+
 class TestGlide:
     def test_every_engine_renders_a_glide(self):
         # f0 from 100 to 250 Hz with 6 commanded lines: the GLO refit order
@@ -530,6 +562,15 @@ class TestGlide:
             for f in voiced:
                 commanded = plan.frames[min(f.frame_index, len(plan.frames) - 1)].omega0
                 assert f.omega0 == pytest.approx(commanded, rel=0.05)
+
+
+class TestPlan:
+    def test_empty_length_rejected(self):
+        frames = stationary_plan(110.0, [1.0, 0.5], [0.0, 0.0], duration_s=0.1, order=2).frames
+        for total in (0, -5):
+            for engine in (synth_fre, synth_tim, synth_glo):
+                with pytest.raises(ValueError, match="total_length"):
+                    engine(SynthesisPlan(frames=frames, sample_rate=RATE, total_length=total))
 
 
 class TestCompareEngines:
