@@ -141,11 +141,13 @@ def fit_lpc_envelope(
 ) -> LpcModel:
     """Fit an all-pole magnitude model to a harmonic line spectrum.
 
-    The line spectrum (amplitudes at (l+1)*omega0) is resampled onto a
-    dense log-magnitude grid over [0, pi], an autocorrelation-method LPC
-    fit is computed from the gridded power spectrum, and the grid is then
-    iteratively corrected by the residual at the harmonic frequencies so
-    that the model matches the lines closely even at low f0.
+    Lines more than 60 dB under the strongest one are raised onto that
+    floor.  A cold fit starts from the Yule-Walker (autocorrelation-method)
+    solution for the line spectrum (amplitudes at (l+1)*omega0) resampled
+    onto a dense log-magnitude grid over [0, pi]; a warm fit starts from
+    `warm_start`'s poles.  One Levenberg-Marquardt refinement of the poles
+    then fits the weighted dB error at the lines themselves, so that the
+    model matches them closely even at low f0.
 
     Args:
         magnitudes: linear amplitude per harmonic, index l = 0..L-1.
@@ -191,7 +193,9 @@ def fit_lpc_envelope(
     else:
         power = np.exp(2.0 * log_s)
         r = np.fft.irfft(power, 2 * _ENVELOPE_GRID)[: order + 1]
-        poles = np.roots(np.concatenate([[1.0], -_solve_yule_walker(r, order)]))
+        # a principal submatrix of the floored power's circulant: positive definite, condition <= 1e6
+        phi = solve_toeplitz((r[:order], r[:order]), r[1:])
+        poles = np.roots(np.concatenate([[1.0], -phi]))
         budget = 1500 if thorough else 400
 
     # stage 2: pole-domain refinement of the dB error at the lines (the
@@ -261,9 +265,7 @@ def _params_to_poles(params, order, rmax):
     return poles
 
 
-def _refine_pole_fit(
-    init_poles, omega_l, log_target, weights, *, max_nfev, rmax=_POLE_RMAX
-):
+def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax):
     """Weighted least-squares fit of the log magnitude at the harmonic
     lines, parameterized by pole radii (through a sigmoid, so stability is
     structural) and angles, starting from `init_poles`.  Returns (poles,
@@ -330,8 +332,6 @@ def _refine_pole_fit(
 
     start = _poles_to_params(init_poles, order, rmax)
     start[-1] = optimal_gain(start)
-    if not np.all(np.isfinite(residual(start))):
-        return _params_to_poles(start, order, rmax), float(np.exp(np.sum(weights * log_target) / np.sum(weights)))
     params = least_squares(
         residual,
         start,
@@ -344,27 +344,6 @@ def _refine_pole_fit(
         max_nfev=max_nfev,
     ).x
     return _params_to_poles(params, order, rmax), float(np.exp(params[-1]))
-
-
-def _solve_yule_walker(r, order):
-    """Solve the normal equations from an autocorrelation sequence.
-
-    No diagonal loading by default: loading acts like an additive white
-    floor and wrecks the fit in deep spectral valleys.  Microscopic
-    loading is applied only if the plain solve comes back non-finite.
-    """
-    load = 0.0
-    for _ in range(6):
-        r0 = r.copy()
-        r0[0] *= 1.0 + load
-        try:
-            phi = solve_toeplitz((r0[:order], r0[:order]), r0[1 : order + 1])
-        except np.linalg.LinAlgError:
-            phi = None
-        if phi is not None and np.all(np.isfinite(phi)):
-            return phi
-        load = 1e-12 if load == 0.0 else load * 100.0
-    raise ValueError("autocorrelation system could not be solved")
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +392,7 @@ def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
         out[:take] = params.magnitudes[:take]
         return out
     mags = params.envelope.magnitude((np.arange(n) + 1) * params.omega0)
-    ref = params.envelope.magnitude(np.array([params.omega0]))[0]
-    scale = params.a0 / ref if ref > 0 else 0.0
-    return mags * scale
+    return mags * (params.a0 / mags[0])
 
 
 def interpolate_params(left: FrameParams, right: FrameParams, t: float):
@@ -473,17 +450,12 @@ def _window_peak_table(n: int):
 
 
 def _refine_peak(mags: np.ndarray, k: int, n: int, bin_hz: float):
-    """Window-matched fractional-bin refinement of a spectral peak.
+    """Window-matched fractional-bin refinement of the peak at interior bin `k`.
 
     Returns (frequency_hz, line_amplitude_in_peak_bin_units)."""
     rho_tab, d_tab, g_tab = _window_peak_table(n)
-    if 0 < k < mags.size - 1:
-        side = 1 if mags[k + 1] >= mags[k - 1] else -1
-    elif k == 0:
-        side = 1
-    else:
-        side = -1
-    rho = mags[k + side] / mags[k] if mags[k] > 0 else 0.0
+    side = 1 if mags[k + 1] >= mags[k - 1] else -1
+    rho = mags[k + side] / mags[k]
     rho = min(max(rho, rho_tab[0]), rho_tab[-1])
     d = float(np.interp(rho, rho_tab, d_tab))
     amp_scale = float(np.interp(d, d_tab, g_tab))
@@ -632,14 +604,12 @@ def _estimate_noise_floor(mags, k_star, half):
     return float(np.median(rest))
 
 
-def _quantisation_floor(bit_depth, window) -> float:
-    """Median bin magnitude that the rounding noise of a `bit_depth`-bit
-    source (step 2**(1 - bit_depth) over [-1, 1], variance step**2 / 12)
-    leaves in a frame windowed by `window`: the median of a Rayleigh
-    magnitude with E|X|^2 = variance * sum(window**2)."""
-    if not bit_depth:
-        return 0.0
-    step = 2.0 ** (1 - int(bit_depth))
+def _quantisation_floor(window) -> float:
+    """Median bin magnitude that the rounding noise of a 16-bit source
+    (step 2**-15 over [-1, 1], variance step**2 / 12) leaves in a frame
+    windowed by `window`: the median of a Rayleigh magnitude with
+    E|X|^2 = variance * sum(window**2)."""
+    step = 2.0**-15
     return float(np.sqrt(np.log(2.0) * np.sum(window**2) * step**2 / 12.0))
 
 
@@ -658,8 +628,8 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     peak bin, |C_l W(nu_l - omega_l)| with the other lines' leakage solved
     out, stands more than 12 dB above the frame's noise floor.  The floor
     is the median of the bins away from every harmonic, but never below
-    the median bin magnitude that the rounding noise of a
-    `source_bit_depth`-bit source leaves in the frame.
+    the median bin magnitude that the rounding noise of a 16-bit source
+    leaves in the frame, so a source of 16 or fewer bits is assumed.
     """
     n = int(frame_len)
     hop = n // 2
@@ -669,7 +639,7 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     w = make_sqrt_shifted_hanning(n)
     half = n // 2
     rate = signal.sample_rate
-    quant_floor = _quantisation_floor(signal.source_bit_depth, w)
+    quant_floor = _quantisation_floor(w)
 
     offsets = list(range(0, x.size - n + 1, hop))
     spectra = []
@@ -738,7 +708,7 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
         nu = TWO_PI * (k_star + 0.5) / n
         own = np.abs(c * sine_window_spectrum(n, nu - w0 * np.arange(1, count + 1)))
         with np.errstate(divide="ignore"):
-            snr_db = 20.0 * np.log10(own / floor) if floor > 0 else np.full(count, np.inf)
+            snr_db = 20.0 * np.log10(own / floor)
         # trailing harmonics at or under the frame's noise floor are not
         # measurements; keep the contiguous run up to the last solid one
         solid = np.flatnonzero(snr_db > 12.0)

@@ -14,14 +14,15 @@ class UnstableFilterError(ValueError):
 
 @dataclass
 class AudioBuffer:
-    """Mono sampled signal plus sample rate and source bit-depth metadata.
+    """Mono sampled signal plus sample rate.
 
-    Samples are float64, nominally in [-1, 1].
+    Samples are float64, nominally in [-1, 1], from a source of at most
+    16 bits: analysis never puts its noise floor under 16-bit rounding
+    noise.
     """
 
     samples: np.ndarray
     sample_rate: int
-    source_bit_depth: int = 16
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)

@@ -73,21 +73,17 @@ class PeriodTrack:
     def period_lengths(self) -> np.ndarray:
         return np.array([p.length for p in self.periods], dtype=np.int64)
 
-    @property
-    def f0_contour(self) -> np.ndarray:
-        return np.array([p.f0 for p in self.periods])
-
 
 def harmonic_count(period: int) -> int:
     """Number of usable harmonics for a P-sample period.
 
-    The highest usable DFT bin is P/2 - 1 for even P and (P-1)/2 for odd
-    P (conjugate symmetry claims the rest); harmonics are l = 0..L-1.
+    The highest usable DFT bin is (P - 1) // 2: conjugate symmetry claims
+    the rest, and the Nyquist bin of an even P; harmonics are l = 0..L-1.
     """
     p = int(period)
     if p < 5:
         raise ValueError(f"period must be at least 5 samples, got {p}")
-    return p // 2 - 1 if p % 2 == 0 else (p - 1) // 2
+    return (p - 1) // 2
 
 
 def _local_maxima(values: np.ndarray) -> list[int]:
@@ -218,8 +214,7 @@ def extract_period_params(signal: AudioBuffer, start: int, period: int) -> Pitch
     magnitudes = 2.0 * np.abs(bins) / p
     nrd = nrd_from_phases(phases)
     # harmonics at the numerical floor carry no phase information
-    if magnitudes.size:
-        nrd[magnitudes < 1e-9 * magnitudes.max()] = 0.0
+    nrd[magnitudes < 1e-9 * magnitudes.max()] = 0.0
     return PitchPeriod(
         start_sample=start,
         length=p,
@@ -292,8 +287,6 @@ def segment_track(
             break  # ran out of signal
         lo = max(-(est // 2), -cursor)
         hi = min(est // 2, x.size - cursor - est)
-        if hi < lo:
-            break
         _, onset = align_onset(signal, cursor, est, search=(lo, hi))
         if prev_onset is not None:
             emitted = onset - prev_onset

@@ -247,13 +247,7 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
         off = (index + 1) * hop
         out[off : off + n] += w * frame
 
-    return AudioBuffer(_fit_length(out[hop:], plan.total_length), plan.sample_rate)
-
-
-def _fit_length(x: np.ndarray, length: int) -> np.ndarray:
-    if x.size >= length:
-        return x[:length].copy()
-    return np.concatenate([x, np.zeros(length - x.size)])
+    return AudioBuffer(out[hop : hop + plan.total_length], plan.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +281,20 @@ def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
     ]
 
     last_start, last_wave = periods[-1]
-    out = np.zeros(last_start + last_wave.size + ext + 1)
+    # out[ext + j] is output sample j; the last period ends at or past total
+    out = np.zeros(last_start + last_wave.size + 2 * ext)
     for i, (start, x_p) in enumerate(periods):
         p = x_p.size
+        # circularly extended by ext samples on each side, and faded at every
+        # junction but not at the plan's start or end
+        gain = np.ones(p + 2 * ext)
         if i > 0:
-            # fade-in over [start - ext, start + ext): circular pre-extension
-            # then the first core samples
-            seg = np.concatenate([x_p[p - ext :], x_p[:ext]])
-            out[start - ext : start + ext] += ramp * seg
-            core_lo = ext
-        else:
-            core_lo = 0
+            gain[: 2 * ext] = ramp
         if i + 1 < len(periods):
-            seg = np.concatenate([x_p[p - ext :], x_p[:ext]])
-            out[start + p - ext : start + p + ext] += (1.0 - ramp) * seg
-            core_hi = p - ext
-        else:
-            core_hi = p
-        out[start + core_lo : start + core_hi] += x_p[core_lo:core_hi]
+            gain[-2 * ext :] = 1.0 - ramp
+        out[start : start + p + 2 * ext] += gain * np.take(x_p, np.arange(-ext, p + ext), mode="wrap")
 
-    return AudioBuffer(_fit_length(out, total), plan.sample_rate)
+    return AudioBuffer(out[ext : ext + total], plan.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +366,7 @@ def synth_glottal_pulse(period: int, shape_params: LfParams | None = None) -> Gl
     g[~open_phase] = -(1.0 / (eps * ta)) * (np.exp(-eps * tr) - np.exp(-eps * (1.0 - te)))
 
     g -= g.mean()
-    peak = np.abs(g.min())
-    if peak > 0:
-        g /= peak
+    g /= np.abs(g.min())
     return GlottalPulse(period=p, samples=g, shape_params=shape)
 
 
@@ -571,11 +557,10 @@ def compare_engines(
         with np.errstate(divide="ignore", invalid="ignore"):
             d = 20.0 * np.log10(fa.magnitudes[:count][keep] / fb.magnitudes[:count][keep])
         diffs.append(d[np.isfinite(d)])
-    if diffs:
-        alldiff = np.abs(np.concatenate(diffs))
-        if alldiff.size:
-            report["magnitude_diff_db_mean"] = float(np.mean(alldiff))
-            report["magnitude_diff_db_max"] = float(np.max(alldiff))
+    alldiff = np.abs(np.concatenate(diffs))
+    if alldiff.size:
+        report["magnitude_diff_db_mean"] = float(np.mean(alldiff))
+        report["magnitude_diff_db_max"] = float(np.max(alldiff))
 
     f0_mean = float(np.mean(f0a))
     max_lag = int(round(rate / max(f0_mean, 1.0))) + 1

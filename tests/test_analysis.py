@@ -142,6 +142,18 @@ class TestNrdAlgebra:
         diff = (rebuilt - phases) / (2 * np.pi)
         np.testing.assert_allclose(diff - np.round(diff), 0.0, atol=1e-12)
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=60),
+        tau=st.floats(-2 * np.pi, 2 * np.pi),
+    )
+    def test_time_shift_invariance(self, phases, tau):
+        # a delay of the signal adds (l + 1) * tau to line l's phase
+        phases = np.asarray(phases)
+        shifted = phases + np.arange(1, phases.size + 1) * tau
+        diff = nrd_from_phases(shifted) - nrd_from_phases(phases)
+        np.testing.assert_allclose(diff - np.round(diff), 0.0, rtol=0.0, atol=1e-9)
+
     def test_unwrap_single_correction(self):
         np.testing.assert_allclose(vertical_unwrap([0.0, 0.9, 0.8]), [0.0, -0.1, -0.2], atol=1e-12)
 
@@ -316,6 +328,15 @@ class TestLpcEnvelope:
     # a pair that saturates its radius sigmoid: |p| rounds one ulp above the
     # cap unless the fitter keeps it under
     @example(mags=[0.125, 0.75, 0.5], f0=62.0, order=3, cap=0.99, start="cold")
+    # lines alternating between the strongest one and the -60 dB floor (or
+    # below it): the Yule-Walker start's normal equations at their worst
+    # conditioning
+    @example(mags=[1.0, 0.0] * 20, f0=100.0, order=1, cap=0.998, start="cold")
+    @example(mags=[1.0, 1e-9] * 20, f0=100.0, order=1, cap=0.998, start="cold")
+    @example(mags=[1.0, 0.0] * 20, f0=100.0, order=18, cap=0.998, start="cold")
+    @example(mags=[1.0, 1e-9] * 20, f0=100.0, order=18, cap=0.998, start="cold")
+    @example(mags=[1.0, 0.0] * 20, f0=100.0, order=26, cap=0.99, start="thorough")
+    @example(mags=[1.0, 1e-9] * 20, f0=100.0, order=26, cap=0.99, start="thorough")
     def test_fitted_poles_stay_under_cap(self, mags, f0, order, cap, start):
         omega0 = 2 * np.pi * f0 / RATE
         mags = np.asarray(mags)

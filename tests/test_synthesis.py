@@ -21,6 +21,7 @@ from voicing.synthesis import (
     SynthesisPlan,
     _aligned_correlation,
     _inject_harmonic,
+    _ParamTrack,
     _period_wave,
     _rendered_line_magnitudes,
     _tilt_compensated_model,
@@ -183,6 +184,29 @@ class TestTim:
             interior = steps.max()
             for j in junctions:
                 assert steps[j - 6 : j + 6].max() <= 5 * interior
+
+    def test_junction_crossfade_matches_reference(self):
+        # each sample from the one or two periods it lies in: over
+        # [start - 4, start + 4) of every junction, ramp * next +
+        # (1 - ramp) * previous with both circularly extended; elsewhere the
+        # period alone, the first from sample 0 and the last up to the end
+        plan = glide_plan(100.0, 250.0, duration_s=0.1)
+        total = plan.total_length
+        walk = list(_ParamTrack(plan).periods(total))
+        assert len(walk) >= 3
+        starts = [position for position, _, _, _ in walk]
+        waves = [_period_wave(period, amps, nrd) for _, period, amps, nrd in walk]
+        expected = np.empty(total)
+        for start, wave in zip(starts, waves):
+            for j in range(start, min(start + wave.size, total)):
+                expected[j] = wave[j - start]
+        for i in range(1, len(walk)):
+            start, wave = starts[i], waves[i]
+            prev_start, prev = starts[i - 1], waves[i - 1]
+            for j in range(start - 4, min(start + 4, total)):
+                ramp = (j - start + 5) / 9.0
+                expected[j] = ramp * wave[(j - start) % wave.size] + (1.0 - ramp) * prev[(j - prev_start) % prev.size]
+        np.testing.assert_array_equal(synth_tim(plan).samples, expected)
 
     def test_zero_omega_rejected(self):
         plan = stationary_plan(110.0, [1.0], [0.0], duration_s=0.2, order=1)
