@@ -150,7 +150,8 @@ def fit_lpc_envelope(
     model matches them closely even at low f0.
 
     Args:
-        magnitudes: linear amplitude per harmonic, index l = 0..L-1.
+        magnitudes: linear amplitude per harmonic, index l = 0..L-1, all
+            below Nyquist (L * omega0 < pi, as `FrameParams` requires).
         omega0: fundamental angular frequency, rad/sample.
         order: all-pole model order p (L >= p/2 recommended).
         thorough: give the refinement stage's single solve 1,500
@@ -172,9 +173,9 @@ def fit_lpc_envelope(
     if not 0 < omega0 < np.pi:
         raise ValueError("omega0 must lie in (0, pi)")
     mags = np.asarray(magnitudes, dtype=np.float64)
+    if mags.size * omega0 >= np.pi:
+        raise ValueError("harmonics must stay below Nyquist (L * omega0 < pi)")
     omega_l = (np.arange(mags.size) + 1) * omega0
-    keep = omega_l < np.pi
-    omega_l, mags = omega_l[keep], mags[keep]
     if not np.any(mags > 0):
         raise ValueError("cannot fit an envelope to all-zero magnitudes")
 
@@ -203,7 +204,7 @@ def fit_lpc_envelope(
     # valleys; this stage does not)
     weights = np.where(active, 1.0, 0.25)
     if line_weights is not None:
-        weights = weights * np.asarray(line_weights, dtype=np.float64)[keep]
+        weights = weights * np.asarray(line_weights, dtype=np.float64)
     poles, gain = _refine_pole_fit(
         poles,
         omega_l,
@@ -435,32 +436,22 @@ def interpolate_params(left: FrameParams, right: FrameParams, t: float):
 # Pitch estimation
 # ---------------------------------------------------------------------------
 
-_PEAK_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _window_peak_table(n: int):
-    """Mainlobe tables for window-matched fractional peak interpolation."""
-    if n not in _PEAK_TABLES:
-        d = np.linspace(0.0, 0.5, 513)
-        g = np.abs(sine_window_spectrum(n, TWO_PI * d / n))
-        g_far = np.abs(sine_window_spectrum(n, TWO_PI * (1.0 - d) / n))
-        rho = g_far / g
-        _PEAK_TABLES[n] = (rho, d, g / g[0])
-    return _PEAK_TABLES[n]
-
-
-def _refine_peak(mags: np.ndarray, k: int, n: int, bin_hz: float):
+def _refine_peak(mags: np.ndarray, k: int, bin_hz: float):
     """Window-matched fractional-bin refinement of the peak at interior bin `k`.
 
+    Over its mainlobe the sine window's transform at d bins from a line is
+    proportional to cos(pi d) / (1 - 4 d^2), so a line d in [0, 1/2] bins
+    past the centre of bin k, toward its larger neighbour, gives the ratio
+    rho = |X[k +- 1]| / |X[k]| = (1 + 2d) / (3 - 2d).  With rho clamped to
+    [1/3, 1]: d = (3 rho - 1) / (2 (rho + 1)), and the line amplitude is
+    |X[k]| (1 + 2d) / ((pi/2) sinc(1/2 - d)) (Harris, Proc. IEEE 66(1), 1978).
+
     Returns (frequency_hz, line_amplitude_in_peak_bin_units)."""
-    rho_tab, d_tab, g_tab = _window_peak_table(n)
     side = 1 if mags[k + 1] >= mags[k - 1] else -1
-    rho = mags[k + side] / mags[k]
-    rho = min(max(rho, rho_tab[0]), rho_tab[-1])
-    d = float(np.interp(rho, rho_tab, d_tab))
-    amp_scale = float(np.interp(d, d_tab, g_tab))
+    rho = min(max(mags[k + side] / mags[k], 1.0 / 3.0), 1.0)
+    d = (3.0 * rho - 1.0) / (2.0 * (rho + 1.0))
     freq = (k + 0.5 + side * d) * bin_hz
-    amp = mags[k] / max(amp_scale, 1e-12)
+    amp = mags[k] * (1.0 + 2.0 * d) / (0.5 * np.pi * np.sinc(0.5 - d))
     return freq, amp
 
 
@@ -493,7 +484,7 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
         return None
     order = np.argsort(mags[peaks])[::-1][:16]
     peaks = peaks[order]
-    refined = [_refine_peak(mags, int(k), n, bin_hz) for k in peaks]
+    refined = [_refine_peak(mags, int(k), bin_hz) for k in peaks]
     pfreq = np.array([f for f, _ in refined])
     pamp = np.array([a for _, a in refined])
 
@@ -559,8 +550,9 @@ def _solve_harmonics(spectrum, omega0, count, n):
 
     Models each measured peak bin as the sum of every harmonic's windowed
     positive- and negative-frequency images and relaxes the resulting
-    linear system (fixed-point iteration).  Returns C with
-    A_l = 2|C_l| and phi_l = angle(C_l) + pi/2.
+    linear system (fixed-point iteration).  Returns (C, k_star, own):
+    A_l = 2|C_l| and phi_l = angle(C_l) + pi/2, k_star_l is line l's
+    peak bin, and own_l = W(nu_l - omega_l) is its +frequency image there.
     """
     half = n // 2
     ell1 = np.arange(1, count + 1)
@@ -590,7 +582,7 @@ def _solve_harmonics(spectrum, omega0, count, n):
     for _ in range(_HARMONIC_SOLVE_ITERATIONS):
         interference = c @ wp + np.conj(c) @ wm - (c * dp + np.conj(c) * dm)
         c = solve_own(y - interference, dp, dm)
-    return c, k_star
+    return c, k_star, dp
 
 
 def _estimate_noise_floor(mags, k_star, half):
@@ -698,17 +690,15 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
             continue
         w0 = refined[m]
         count = harmonic_count_for(w0)
-        c, k_star = _solve_harmonics(spectra[m], w0, count, n)
+        c, k_star, own = _solve_harmonics(spectra[m], w0, count, n)
         amps = 2.0 * np.abs(c)
         phases = np.angle(c) + np.pi / 2
         mags_abs = np.abs(spectra[m][:half])
         floor = max(_estimate_noise_floor(mags_abs, k_star, half), quant_floor)
         # each line's own image in its peak bin, the other lines' leakage
         # already solved out
-        nu = TWO_PI * (k_star + 0.5) / n
-        own = np.abs(c * sine_window_spectrum(n, nu - w0 * np.arange(1, count + 1)))
         with np.errstate(divide="ignore"):
-            snr_db = 20.0 * np.log10(own / floor)
+            snr_db = 20.0 * np.log10(np.abs(c * own) / floor)
         # trailing harmonics at or under the frame's noise floor are not
         # measurements; keep the contiguous run up to the last solid one
         solid = np.flatnonzero(snr_db > 12.0)

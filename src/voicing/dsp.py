@@ -130,16 +130,18 @@ def sine_window_spectrum(n: int, nu) -> np.ndarray:
 def cross_correlate(template, signal, shifts, normalized: bool = False) -> np.ndarray:
     """Sliding dot product of `template` against `signal`.
 
-    r[S] = sum_n template[n] * signal[n + S] for each S in `shifts`.
-    With `normalized=True` each value is divided by the product of the
-    template norm and the norm of the shifted signal window (cosine
-    similarity), useful where the amplitude varies along the signal.
+    r[S] = sum_n template[n] * signal[n + S] for each S in `shifts` (in any
+    order, repeats allowed), read from one correlation over the span
+    [min(shifts), max(shifts)].  With `normalized=True` each value is
+    divided by the product of the template norm and the norm of the shifted
+    signal window (cosine similarity), useful where the amplitude varies
+    along the signal.
 
     Raises ValueError when any shifted window falls outside the signal.
     """
     template = np.asarray(template, dtype=np.float64)
     signal = np.asarray(signal, dtype=np.float64)
-    shifts = np.asarray(list(shifts) if not isinstance(shifts, np.ndarray) else shifts, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
     t = template.size
     if t < 2:
         raise ValueError("template must have at least 2 samples")
@@ -151,19 +153,10 @@ def cross_correlate(template, signal, shifts, normalized: bool = False) -> np.nd
             f"shift range [{lo}, {hi}] places windows outside the signal "
             f"(signal length {signal.size}, template length {t})"
         )
-    contiguous = shifts.size == hi - lo + 1 and np.all(np.diff(shifts) == 1)
-    if contiguous:
-        r = np.correlate(signal[lo : hi + t], template, mode="valid")
-    else:
-        r = np.array([np.dot(template, signal[s : s + t]) for s in shifts])
+    r = np.correlate(signal[lo : hi + t], template, mode="valid")[shifts - lo]
     if normalized:
-        tn = np.linalg.norm(template)
         sq = np.concatenate([[0.0], np.cumsum(signal**2)])
-        if contiguous:
-            win = np.sqrt(sq[lo + t : hi + t + 1] - sq[lo : hi + 1])
-        else:
-            win = np.sqrt(sq[shifts + t] - sq[shifts])
-        denom = tn * win
+        denom = np.linalg.norm(template) * np.sqrt(sq[shifts + t] - sq[shifts])
         r = np.where(denom > 0, r / np.where(denom > 0, denom, 1.0), 0.0)
     return r
 

@@ -87,21 +87,13 @@ def harmonic_count(period: int) -> int:
 
 
 def _local_maxima(values: np.ndarray) -> list[int]:
-    """Strict local maxima; a flat plateau counts once at its midpoint."""
-    out = []
-    n = values.size
-    i = 1
-    while i < n - 1:
-        if values[i] > values[i - 1]:
-            j = i
-            while j + 1 < n and values[j + 1] == values[i]:
-                j += 1
-            if j < n - 1 and values[j + 1] < values[i]:
-                out.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
-    return out
+    """Strict local maxima: each run of equal values that the values rise
+    into and fall out of, reported once at its midpoint."""
+    step = np.diff(values)
+    change = np.flatnonzero(step)
+    rise = step[change] > 0
+    peak = rise[:-1] & ~rise[1:]
+    return ((change[:-1][peak] + 1 + change[1:][peak]) // 2).tolist()
 
 
 def refine_period(signal: AudioBuffer, period_start: int, period: int) -> int:
@@ -157,16 +149,6 @@ def refine_period(signal: AudioBuffer, period_start: int, period: int) -> int:
     return updated
 
 
-def _phase_residuals(x: np.ndarray, starts: np.ndarray, period: int) -> np.ndarray:
-    """|angle(X[1]) + pi/2| of the P-point DFT at each candidate start."""
-    idx = starts[:, None] + np.arange(period)[None, :]
-    segments = x[idx]
-    kernel = np.exp(-2j * np.pi * np.arange(period) / period)
-    bin1 = segments @ kernel
-    err = np.angle(bin1) + np.pi / 2
-    return np.abs((err + np.pi) % (2 * np.pi) - np.pi)
-
-
 def align_onset(
     signal: AudioBuffer,
     period_start: int,
@@ -178,7 +160,9 @@ def align_onset(
 
     Searches S in [-P//2, P//2] (or the explicit `search` bounds) for the
     shift whose P-point DFT satisfies angle(X[1]) ~ -pi/2; ties break
-    toward the smallest |S|.  Returns (shift, aligned_start).
+    toward the smallest |S|.  X[1] at every candidate start is the
+    correlation of the signal with cos(2 pi n / P) minus 1j times its
+    correlation with sin(2 pi n / P).  Returns (shift, aligned_start).
     """
     x = signal.samples
     p = int(period)
@@ -189,7 +173,11 @@ def align_onset(
     if start + lo < 0 or start + hi + p > x.size:
         raise ValueError("onset search window exceeds the signal")
     shifts = np.arange(lo, hi + 1)
-    residual = _phase_residuals(x, start + shifts, p)
+    cycle = 2 * np.pi * np.arange(p) / p
+    starts = start + shifts
+    bin1 = cross_correlate(np.cos(cycle), x, starts) - 1j * cross_correlate(np.sin(cycle), x, starts)
+    err = np.angle(bin1) + np.pi / 2
+    residual = np.abs((err + np.pi) % (2 * np.pi) - np.pi)
     pick = np.lexsort((np.abs(shifts), residual))[0]
     s = int(shifts[pick])
     return s, start + s

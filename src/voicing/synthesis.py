@@ -462,24 +462,22 @@ def synth_glo(plan: SynthesisPlan) -> AudioBuffer:
     structure comes entirely from the pulse and filter, never from an NRD
     model.
 
-    One model is kept: it is refit only when a period's command (its
-    length and amplitudes) differs from the last fitted one, starting from
-    the last model.
+    One model and its decayed response are kept: a period whose command
+    (its length and amplitudes) equals the last fitted one adds that
+    response again.  Any other command gets its own pulse and a refit
+    started from the last model.
     """
     total = plan.total_length
     out = np.zeros(total)
-    pulses: dict[int, GlottalPulse] = {}
     command = None
     model = None
     for position, period, amps, _ in _ParamTrack(plan).periods(total):
-        if period not in pulses:
-            pulses[period] = synth_glottal_pulse(period)
-        pulse = pulses[period]
         if command is None or command[0] != period or not np.array_equal(command[1], amps):
-            model = _tilt_compensated_model(amps, pulse.samples, period, warm_start=model)
+            pulse = synth_glottal_pulse(period).samples
+            model = _tilt_compensated_model(amps, pulse, period, warm_start=model)
+            response = _pulse_response(pulse, model)
             command = (period, amps)
-        response = _pulse_response(pulse.samples, model)[: total - position]
-        out[position : position + response.size] += response
+        out[position : position + response.size] += response[: total - position]
 
     return AudioBuffer(out, plan.sample_rate)
 

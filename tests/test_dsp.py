@@ -218,6 +218,13 @@ class TestCrossCorrelate:
         r = cross_correlate(template, signal, range(0, 400), normalized=True)
         assert np.max(r) <= 1.0 + 1e-12
         assert r[100] == pytest.approx(1.0, abs=1e-12)
+        # scattered, unsorted and repeated shifts read the contiguous values
+        raw = cross_correlate(template, signal, range(0, 400))
+        shifts = [399, 3, 250, 100, 3, 17, 399, 251]
+        np.testing.assert_allclose(cross_correlate(template, signal, shifts), raw[shifts], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            cross_correlate(template, signal, shifts, normalized=True), r[shifts], rtol=0, atol=1e-15
+        )
 
 
 class TestAllPoleFilter:

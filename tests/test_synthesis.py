@@ -533,18 +533,33 @@ class TestGlo:
         # frames 0-3 command A and frames 4-7 command B at one period of 200
         # samples.  Periods start at multiples of 200, and only 2200 and
         # 2400 fall strictly between the anchors of frames 3 and 4 (2048 and
-        # 2560), so: one fit for A, one per transition command, one for B
+        # 2560), so: one fit for A, one per transition command, one for B.
+        # Each fit makes one pulse and filters it twice: once to render it,
+        # once to measure the fit's miss
         import voicing.synthesis as synthesis_module
         from voicing.analysis import harmonic_amplitudes
 
         calls = []
+        pulses = []
+        responses = []
 
         def recording(amps, pulse_samples, period, *, warm_start=None):
             model = _tilt_compensated_model(amps, pulse_samples, period, warm_start=warm_start)
             calls.append((np.array(amps), warm_start, model))
             return model
 
+        def counting(record, function):
+            def wrapper(*args, **kwargs):
+                record.append(args)
+                return function(*args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(synthesis_module, "_tilt_compensated_model", recording)
+        monkeypatch.setattr(synthesis_module, "synth_glottal_pulse", counting(pulses, synth_glottal_pulse))
+        monkeypatch.setattr(
+            synthesis_module, "_pulse_response", counting(responses, synthesis_module._pulse_response)
+        )
         omega0 = 2 * np.pi / 200
         commands = [
             np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]),
@@ -565,6 +580,8 @@ class TestGlo:
         ]
         synth_glo(SynthesisPlan(frames=frames, sample_rate=RATE))
         assert len(calls) == 4
+        assert len(pulses) == len(calls)
+        assert len(responses) == 2 * len(calls)
         np.testing.assert_array_equal(calls[0][0], harmonic_amplitudes(frames[0]))
         np.testing.assert_array_equal(calls[-1][0], harmonic_amplitudes(frames[-1]))
         assert calls[0][1] is None
