@@ -17,7 +17,7 @@ from .dsp import (
 )
 
 TWO_PI = 2.0 * np.pi
-_POLE_RMAX = 0.998  # default cap on fitted pole radii
+_POLE_RMAX = 0.998  # cap on fitted pole radii
 _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
 # envelope-fit floor under the strongest line: lines below it are raised
 # onto it, as measured spectra sit on a noise floor anyway, so that the fit
@@ -134,10 +134,7 @@ def fit_lpc_envelope(
     omega0: float,
     order: int,
     *,
-    thorough: bool = False,
-    line_weights=None,
     warm_start=None,
-    max_pole_radius: float = _POLE_RMAX,
 ) -> LpcModel:
     """Fit an all-pole magnitude model to a harmonic line spectrum.
 
@@ -154,19 +151,12 @@ def fit_lpc_envelope(
             below Nyquist (L * omega0 < pi, as `FrameParams` requires).
         omega0: fundamental angular frequency, rad/sample.
         order: all-pole model order p (L >= p/2 recommended).
-        thorough: give the refinement stage's single solve 1,500
-            evaluations instead of 400, for oddly shaped targets (GLO's
-            tilt-compensated ones) that a cold start needs longer to fit.
-        line_weights: optional importance multiplier per harmonic, one per
-            entry of `magnitudes`, for the refinement stage (e.g. to
-            de-emphasize bands the caller does not care about).
         warm_start: a previously fitted LpcModel for a nearly identical
             target; its poles are the only starting point, which is both
             faster and steadier across a slowly evolving parameter track.
             A model of another order is ignored.
-        max_pole_radius: hard cap on fitted pole radii.  Callers that
-            render the filter's response until it decays should lower it
-            to bound that length.
+
+    Every fitted pole radius is at most `_POLE_RMAX`.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -197,26 +187,17 @@ def fit_lpc_envelope(
         # a principal submatrix of the floored power's circulant: positive definite, condition <= 1e6
         phi = solve_toeplitz((r[:order], r[:order]), r[1:])
         poles = np.roots(np.concatenate([[1.0], -phi]))
-        budget = 1500 if thorough else 400
+        budget = 400
 
     # stage 2: pole-domain refinement of the dB error at the lines (the
     # autocorrelation norm tolerates large relative errors in spectral
     # valleys; this stage does not)
     weights = np.where(active, 1.0, 0.25)
-    if line_weights is not None:
-        weights = weights * np.asarray(line_weights, dtype=np.float64)
-    poles, gain = _refine_pole_fit(
-        poles,
-        omega_l,
-        log_target,
-        weights,
-        max_nfev=budget,
-        rmax=max_pole_radius,
-    )
+    poles, gain = _refine_pole_fit(poles, omega_l, log_target, weights, max_nfev=budget)
     return LpcModel(poles, gain)
 
 
-def _poles_to_params(roots, order, rmax):
+def _poles_to_params(roots, order):
     """Pack pole locations into the (logit radius, angle) vector used by
     the refinement stage: order//2 conjugate pairs plus an optional real
     pole.  Leftover real roots are approximated by near-real pairs on
@@ -240,37 +221,37 @@ def _poles_to_params(roots, order, rmax):
     for p in pairs:
         # a pair packed right at the cap would start where the sigmoid's
         # slope is ~1e-6, and no refit from this start could move it inward
-        radius = np.clip(np.abs(p) / rmax, 1e-3, 1.0 - 1e-3)
+        radius = np.clip(np.abs(p) / _POLE_RMAX, 1e-3, 1.0 - 1e-3)
         params.append(np.log(radius / (1.0 - radius)))
         params.append(np.abs(np.angle(p)))
     if nreal:
         q = reals[0] if reals else 0.3
-        params.append(np.arctanh(np.clip(q / rmax, -1 + 1e-6, 1 - 1e-6)))
+        params.append(np.arctanh(np.clip(q / _POLE_RMAX, -1 + 1e-6, 1 - 1e-6)))
     params.append(0.0)  # log gain, set properly by the caller
     return np.asarray(params, dtype=np.float64)
 
 
-def _params_to_poles(params, order, rmax):
+def _params_to_poles(params, order):
     npairs = order // 2
     nreal = order % 2
-    # a logit capped at 30 keeps a pair's radius 1e-13 under rmax, so that
+    # a logit capped at 30 keeps a pair's radius 1e-13 under the cap, so that
     # rounding in |p| never reads it above the cap
     with np.errstate(over="ignore"):
-        radius = rmax / (1.0 + np.exp(-np.minimum(params[0 : 2 * npairs : 2], 30.0)))
+        radius = _POLE_RMAX / (1.0 + np.exp(-np.minimum(params[0 : 2 * npairs : 2], 30.0)))
     upper = radius * np.exp(1j * params[1 : 2 * npairs : 2])
     poles = np.empty(order, dtype=np.complex128)
     poles[0 : 2 * npairs : 2] = upper
     poles[1 : 2 * npairs : 2] = np.conj(upper)
     if nreal:
-        poles[-1] = rmax * np.tanh(params[2 * npairs])
+        poles[-1] = _POLE_RMAX * np.tanh(params[2 * npairs])
     return poles
 
 
-def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax):
+def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
     """Weighted least-squares fit of the log magnitude at the harmonic
     lines, parameterized by pole radii (through a sigmoid, so stability is
     structural) and angles, starting from `init_poles`.  Returns (poles,
-    gain), every pole radius at most `rmax`.
+    gain), every pole radius at most `_POLE_RMAX`.
 
     Every shape is solved by MINPACK's Levenberg-Marquardt.  LM needs at
     least as many residuals as parameters, so when a frame has fewer lines
@@ -291,7 +272,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax
 
     def log_den(params):
         if not np.array_equal(last.get("params"), params):
-            poles = _params_to_poles(params, order, rmax)
+            poles = _params_to_poles(params, order)
             factors = 1.0 - poles[None, :] * expw[:, None]
             den = np.prod(factors, axis=1)
             last.update(params=params.copy(), value=(np.log(np.maximum(np.abs(den), 1e-300)), poles, factors))
@@ -309,7 +290,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax
         jac = np.zeros((rows, params.size))
         if npairs:
             upper = poles[0 : 2 * npairs : 2]
-            sig = np.abs(upper) / rmax
+            sig = np.abs(upper) / _POLE_RMAX
             f_up = f_all[:, 0 : 2 * npairs : 2]
             f_dn = f_all[:, 1 : 2 * npairs : 2]
             dp_du = upper * (1.0 - sig)
@@ -321,7 +302,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax
             )
         if nreal:
             v = params[2 * npairs]
-            dq_dv = rmax * (1.0 - np.tanh(v) ** 2)
+            dq_dv = _POLE_RMAX * (1.0 - np.tanh(v) ** 2)
             jac[:lines, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
         jac[:lines, -1] = 1.0
         jac[:lines] *= sw[:, None]
@@ -331,7 +312,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax
         ld, _, _ = log_den(params)
         return float(np.sum(weights * (log_target + ld)) / np.sum(weights))
 
-    start = _poles_to_params(init_poles, order, rmax)
+    start = _poles_to_params(init_poles, order)
     start[-1] = optimal_gain(start)
     params = least_squares(
         residual,
@@ -344,7 +325,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev, rmax
         gtol=1e-13,
         max_nfev=max_nfev,
     ).x
-    return _params_to_poles(params, order, rmax), float(np.exp(params[-1]))
+    return _params_to_poles(params, order), float(np.exp(params[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ Three engines consume the same per-frame parameter stream:
   a time by additive synthesis and concatenated at cumulative offsets
   with a short circular-extension crossfade.
 * ``synth_glo`` -- physiological: each period is a Liljencrants-Fant
-  glottal-flow-derivative pulse filtered by a per-period all-pole vocal
-  tract model (tilt-compensated), kept until it has decayed and
-  overlap-added.  No explicit harmonic phase model is consumed.
+  glottal-flow-derivative pulse convolved with its own minimum-phase
+  vocal-tract response, built in closed form from the command divided by
+  the pulse's line magnitudes, and overlap-added.  No explicit harmonic
+  phase model is consumed.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .analysis import (
+    _ENVELOPE_FLOOR_DB,
     FrameParams,
-    fit_lpc_envelope,
     harmonic_amplitudes,
     interpolate_params,
     measure_frames,
 )
 from .dsp import (
     AudioBuffer,
-    all_pole_filter,
     cross_correlate,
     dft,
     inverse_odft,
@@ -45,9 +45,7 @@ log = logging.getLogger(__name__)
 TWO_PI = 2.0 * np.pi
 _FRE_BINS_PER_HARMONIC = 9  # ODFT bins FRE writes around each harmonic's peak
 _TIM_EXTENSION = 4  # samples of circular extension on each side of a TIM junction
-_GLO_MAX_ORDER = 26  # highest order of a GLO vocal-tract model
-_GLO_FOCUS_NORM_FREQ = 0.4  # top of GLO's full-weight band, as a fraction of Nyquist
-_GLO_TAIL_DECAY = 1e-4  # level of the slowest pole's decay at which GLO ends a pulse's output
+_GLO_ROLLOFF_DB = 6.0  # fall per line of GLO's rendered level past the commanded lines
 _COMPARE_FRAME_LEN = 1024  # analysis frame of compare_engines
 _COMPARE_MAGNITUDE_LIMIT_HZ = 4000.0  # highest line compare_engines' magnitude metrics cover
 
@@ -370,112 +368,77 @@ def synth_glottal_pulse(period: int, shape_params: LfParams | None = None) -> Gl
     return GlottalPulse(period=p, samples=g, shape_params=shape)
 
 
-def _pulse_response(pulse_samples, model):
-    """The pulse through the model's filter, kept until it has decayed: the
-    pulse's P samples plus the samples in which the largest pole radius
-    falls under `_GLO_TAIL_DECAY`, rounded up to whole periods.  Overlap-added
-    at period offsets, such a tail renders each line l at the pulse's line
-    times |H(omega_l)|."""
-    period = pulse_samples.size
-    radius = np.max(np.abs(model.poles), initial=0.0)
-    decay = int(np.ceil(np.log(_GLO_TAIL_DECAY) / np.log(radius))) if radius > 0 else 0
-    length = period * (1 + -(-decay // period))
-    excitation = np.concatenate([pulse_samples, np.zeros(length - period)])
-    return all_pole_filter(excitation, model.poles, model.gain)
-
-
-def _rendered_line_magnitudes(pulse_samples, model, period, count):
-    """Line magnitudes the per-period render path produces: the decayed
-    pulse response folded into one period, which is what overlap-adding it
-    at period offsets gives."""
-    folded = _pulse_response(pulse_samples, model).reshape(-1, period).sum(axis=0)
+def _rendered_line_magnitudes(response, period, count):
+    """Line magnitudes 1..count that a response renders when it is
+    overlap-added at period offsets: those of the response folded into one
+    period."""
+    folded = np.pad(response, (0, -response.size % period)).reshape(-1, period).sum(axis=0)
     return 2.0 * np.abs(dft(folded)[1 : 1 + count]) / period
 
 
-def _tilt_compensated_model(amps, pulse_samples, period, *, warm_start=None):
-    """Per-period vocal tract model: target envelope divided by the
-    pulse's own line magnitudes, fit once as an all-pole model.
+def _tilt_compensated_model(amps, pulse_samples, period):
+    """Vocal-tract response for one command: the P-sample minimum-phase FIR
+    whose magnitude at each line is the level to render there divided by
+    the pulse's own line magnitude.  Filtered through it and overlap-added
+    at period offsets, the pulse renders every commanded line exactly.
 
-    The order is the least of three bounds: `_GLO_MAX_ORDER`, since
-    dividing by the pulse spectrum adds structure that a plain
-    vowel-envelope order cannot carry; `harmonic_count(period) - 2`; and
-    two poles per commanded line, since further poles are left
-    unconstrained by the lines and drift onto the radius cap.
-
-    The inverse-source division leaves a target with more spectral
-    structure than a plain vowel envelope, so a cold fit gets the envelope
-    fitter's thorough budget, with full weight on the band below
-    `_GLO_FOCUS_NORM_FREQ` (fraction of Nyquist, ~4.4 kHz at 22050 Hz).
-    A `warm_start` of the same order is the fit's only start; one of
-    another order is ignored.  Since GLO keeps each pulse's output until
-    it has decayed, the division is exact and the render misses the
-    command only by the fit's own error.  That miss over the focus band,
-    measured on the render path, is logged at DEBUG with the model's
-    largest pole radius.
+    The level is the command at the commanded lines.  Past them it falls
+    `_GLO_ROLLOFF_DB` per line from the last commanded line and stops at
+    `_ENVELOPE_FLOOR_DB` under the strongest one, or at once if the last
+    commanded line is already lower.  On the P-point grid, DC and an even
+    P's Nyquist bin hold their nearest line's value.  The phase is the
+    minimum phase of that log magnitude: its real cepstrum folded onto
+    positive quefrencies (homomorphic deconvolution; Oppenheim & Schafer,
+    Discrete-Time Signal Processing).
     """
     lines = harmonic_count(period)
     count = min(len(amps), lines)
-    order = min(_GLO_MAX_ORDER, lines - 2, 2 * count)
     target = np.asarray(amps[:count], dtype=np.float64)
-    spec = dft(pulse_samples)
-    pulse_mags = 2.0 * np.abs(spec[1 : 1 + lines]) / period
-    pulse_mags = np.maximum(pulse_mags, pulse_mags.max() * 1e-3)
-    compensated = target / pulse_mags[:count]
-    nyquist_fraction = 2.0 * np.arange(1, lines + 1) / period
-    weights = np.where(nyquist_fraction <= _GLO_FOCUS_NORM_FREQ, 1.0, 0.3)
-    # the pulse excites every harmonic up to Nyquist; those past the
-    # commanded ones enter the fit as zeros (raised onto the fitter's floor)
-    # at a weight low enough not to bend the fit of the commanded lines but
-    # enough that no pole they leave free rings on an uncommanded one
-    silent = np.zeros(lines - count)
-    weights[count:] *= 0.001
-
-    model = fit_lpc_envelope(
-        np.concatenate([compensated, silent]),
-        TWO_PI / period,
-        order,
-        thorough=True,
-        line_weights=weights,
-        warm_start=warm_start,
-        max_pole_radius=0.99,
-    )
-    rendered = _rendered_line_magnitudes(pulse_samples, model, period, count)
-    focus = weights[:count] > 0.5
-    with np.errstate(divide="ignore"):
-        miss_db = np.max(np.abs(20.0 * np.log10(rendered[focus] / target[focus])))
-    log.debug(
-        "GLO period %d: order-%d model misses the focus band by %.2f dB; largest pole radius %.4f",
-        period, order, miss_db, np.max(np.abs(model.poles)),
-    )
-    return model
+    if count == 0 or not np.all(target > 0):
+        raise ValueError("GLO needs at least one commanded line, every one of positive amplitude")
+    log_target = np.log(target)
+    db = np.log(10.0) / 20.0  # natural-log units per dB
+    stop = min(log_target[-1], log_target.max() + _ENVELOPE_FLOOR_DB * db)
+    rolled = log_target[-1] - _GLO_ROLLOFF_DB * db * np.arange(1, lines - count + 1)
+    log_level = np.concatenate([log_target, np.maximum(rolled, stop)])
+    log_response = log_level - np.log(2.0 * np.abs(dft(pulse_samples)[1 : 1 + lines]) / period)
+    cepstrum = np.fft.irfft(np.pad(log_response, (1, 1 - period % 2), mode="edge"), period)
+    # fold: each negative quefrency onto its positive mirror; 0 and an even
+    # P's P/2 are their own mirrors
+    cepstrum[1 : (period + 1) // 2] *= 2.0
+    cepstrum[period // 2 + 1 :] = 0.0
+    return np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), period)
 
 
 def synth_glo(plan: SynthesisPlan) -> AudioBuffer:
     """Physiologically inspired synthesis.
 
     Per period: synthesize an LF glottal pulse of the local period
-    length, filter it through an all-pole vocal tract model fit to the
-    interpolated target envelope divided by the pulse's own line
-    magnitudes (`_tilt_compensated_model`), keep the filter output until
-    it has decayed (`_pulse_response`), and overlap-add at the cumulative
-    period offsets, clipped at the plan's length.  Harmonic phase
-    structure comes entirely from the pulse and filter, never from an NRD
-    model.
+    length, convolve it with a minimum-phase vocal-tract response built
+    from the interpolated command divided by the pulse's own line
+    magnitudes (`_tilt_compensated_model`), and overlap-add the 2P - 1
+    samples at the cumulative period offsets, clipped at the plan's
+    length.  Harmonic phase structure comes entirely from the pulse and
+    the response, never from an NRD model.
 
-    One model and its decayed response are kept: a period whose command
-    (its length and amplitudes) equals the last fitted one adds that
-    response again.  Any other command gets its own pulse and a refit
-    started from the last model.
+    One response is kept: a period whose command (its length and
+    amplitudes) equals the last one adds that response again.  Any other
+    command gets its own pulse and response, and a DEBUG record of how
+    closely the response renders the commanded lines.
     """
     total = plan.total_length
     out = np.zeros(total)
     command = None
-    model = None
     for position, period, amps, _ in _ParamTrack(plan).periods(total):
         if command is None or command[0] != period or not np.array_equal(command[1], amps):
             pulse = synth_glottal_pulse(period).samples
-            model = _tilt_compensated_model(amps, pulse, period, warm_start=model)
-            response = _pulse_response(pulse, model)
+            response = np.convolve(pulse, _tilt_compensated_model(amps, pulse, period))
+            count = min(amps.size, harmonic_count(period))
+            rendered = _rendered_line_magnitudes(response, period, count)
+            log.debug(
+                "GLO period %d: %d commanded lines rendered within %.2e dB",
+                period, count, np.max(np.abs(20.0 * np.log10(rendered / amps[:count]))),
+            )
             command = (period, amps)
         out[position : position + response.size] += response[: total - position]
 

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import resample
 
-from voicing.analysis import FrameParams, analyze_frames, fit_lpc_envelope, measure_frames, wrap_cycles
+from voicing.analysis import (
+    F0_RANGE_HZ,
+    FrameParams,
+    analyze_frames,
+    fit_lpc_envelope,
+    measure_frames,
+    wrap_cycles,
+)
 from voicing.dsp import (
     AudioBuffer,
-    all_pole_filter,
     dft,
     inverse_odft,
     make_sqrt_shifted_hanning,
@@ -377,24 +385,17 @@ def _analytic_filter(size):
 
 class TestGlo:
     def test_first_period_matches_direct_convolution(self):
-        # the per-period path is exactly: pulse -> all-pole filter, and the
-        # first period is the first P samples of that response
-        f0 = RATE / 200.0
-        amps = np.array([1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.03])
-        plan = stationary_plan(f0, amps, np.zeros(8), duration_s=0.05, order=8)
-        out = synth_glo(plan)
-        period = 200
-        pulse = synth_glottal_pulse(period)
-        # interpolated amplitudes at position 0 equal the first frame's
+        # the per-period path is exactly: pulse convolved with its response,
+        # and the first period is the first P samples of that convolution
         from voicing.analysis import harmonic_amplitudes
 
-        model = _tilt_compensated_model(harmonic_amplitudes(plan.frames[0]), pulse.samples, period)
-        direct = all_pole_filter(
-            np.concatenate([pulse.samples, np.zeros(2 * period)]),
-            model.poles,
-            model.gain,
-        )
-        np.testing.assert_array_equal(out.samples[:period], direct[:period])
+        amps = np.array([1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.03])
+        plan = stationary_plan(RATE / 200.0, amps, np.zeros(8), duration_s=0.05, order=8)
+        out = synth_glo(plan)
+        pulse = synth_glottal_pulse(200).samples
+        # interpolated amplitudes at position 0 equal the first frame's
+        response = _tilt_compensated_model(harmonic_amplitudes(plan.frames[0]), pulse, 200)
+        np.testing.assert_array_equal(out.samples[:200], np.convolve(pulse, response)[:200])
 
     def test_magnitude_match_to_4khz(self):
         # command shaped like a measured vowel envelope: formant resonances
@@ -425,96 +426,144 @@ class TestGlo:
         measured = np.median([f.magnitudes[:limit] for f in frames if f.magnitudes.size >= limit], axis=0)
         commanded = harmonic_amplitudes(plan.frames[0])[:limit]
         diff_db = np.abs(20 * np.log10(measured / commanded))
-        assert np.max(diff_db) <= 2.0
+        assert np.max(diff_db) <= 0.1
+
+    def test_low_line_valley(self):
+        # a vowel with no source tilt: divided by the pulse's falling lines,
+        # its target puts lines 1-2 35-39 dB under the peak, a valley that
+        # an all-pole tract response rendered 6-8 dB too strong
+        from voicing.analysis import LpcModel, harmonic_amplitudes
+
+        f0, count = 110.0, 40
+        period = int(round(RATE / f0))
+        poles = []
+        for fc, bw in [(700, 225), (1200, 225), (2500, 270)]:
+            r = np.exp(-np.pi * bw / RATE)
+            poles += [r * np.exp(2j * np.pi * fc / RATE), r * np.exp(-2j * np.pi * fc / RATE)]
+        tract = LpcModel(poles, 1.0)
+        amps = tract.magnitude(np.arange(1, count + 1) * 2 * np.pi * f0 / RATE)
+        plan = stationary_plan(f0, amps, np.zeros(count), duration_s=0.8, order=18)
+        for frame in plan.frames:
+            frame.envelope = tract  # the command is the tract itself, not a fit to it
+        commanded = harmonic_amplitudes(plan.frames[0])
+        pulse_mags = 2 * np.abs(dft(synth_glottal_pulse(period).samples))[1 : count + 1] / period
+        target_db = 20 * np.log10(commanded / pulse_mags)
+        assert np.all((target_db.max() - target_db[:2] >= 35) & (target_db.max() - target_db[:2] <= 39))
+
+        frames = [f for f in measure_frames(synth_glo(plan), 1024) if f.voiced][2:-2]
+        assert len(frames) >= 5
+        measured = np.median([f.magnitudes[:2] for f in frames], axis=0)
+        assert np.max(np.abs(20 * np.log10(measured / commanded[:2]))) <= 0.1
 
     def test_one_fit_per_model(self, monkeypatch):
-        # each model is one fit, whose render is measured once
+        # GLO builds its tract responses in closed form: no envelope is fitted
+        import voicing.analysis as analysis_module
         import voicing.synthesis as synthesis_module
-        from voicing.analysis import harmonic_amplitudes
 
-        counts = {"fits": 0, "renders": 0}
+        def no_fit(*args, **kwargs):
+            raise AssertionError("envelope fitted")
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            synthesis_module, "fit_lpc_envelope", counting("fits", synthesis_module.fit_lpc_envelope)
-        )
-        monkeypatch.setattr(
-            synthesis_module,
-            "_rendered_line_magnitudes",
-            counting("renders", synthesis_module._rendered_line_magnitudes),
-        )
         amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]
         plan = stationary_plan(118.0, amps, np.zeros(8), duration_s=0.3, order=10)
-        period = int(round(RATE / 118.0))
-        pulse = synth_glottal_pulse(period)
-        _tilt_compensated_model(harmonic_amplitudes(plan.frames[0]), pulse.samples, period)
-        assert counts == {"fits": 1, "renders": 1}
+        monkeypatch.setattr(analysis_module, "fit_lpc_envelope", no_fit)
+        assert not hasattr(synthesis_module, "fit_lpc_envelope")
+        assert np.all(np.isfinite(synth_glo(plan).samples))
 
     def test_render_is_pulse_lines_times_response(self):
-        # a tail kept until it decays makes the period fold exact, even for a
-        # pole on the 0.99 radius cap that rings for many periods
+        # overlap-added at period offsets, the pulse convolved with its
+        # response renders the pulse's lines times the response's, and those
+        # are the commanded lines, whether they stop short of Nyquist or not
         from voicing.analysis import LpcModel
 
         poles = [0.99 * np.exp(0.3j), 0.99 * np.exp(-0.3j), 0.9 * np.exp(1.2j), 0.9 * np.exp(-1.2j)]
         model = LpcModel(poles, 1.0)
         for period in (88, 184, 368):
+            lines = (period - 1) // 2
             pulse = synth_glottal_pulse(period).samples
-            count = period // 2 - 1
-            omega_l = 2 * np.pi * np.arange(1, count + 1) / period
-            expected = 2 * np.abs(dft(pulse)[1 : count + 1]) / period * model.magnitude(omega_l)
-            got = _rendered_line_magnitudes(pulse, model, period, count)
-            assert np.max(np.abs(got - expected)) <= 1e-3 * expected.max(), period
+            for count in (lines // 3, lines):
+                amps = model.magnitude(2 * np.pi * np.arange(1, count + 1) / period)
+                response = _tilt_compensated_model(amps, pulse, period)
+                rendered = _rendered_line_magnitudes(np.convolve(pulse, response), period, lines)
+                pulse_mags = 2 * np.abs(dft(pulse)[1 : lines + 1]) / period
+                np.testing.assert_allclose(rendered, pulse_mags * np.abs(dft(response)[1 : lines + 1]), rtol=1e-12)
+                np.testing.assert_allclose(rendered[:count], amps, rtol=1e-9, err_msg=str(period))
+
+    @settings(max_examples=40)
+    @given(period=st.integers(16, 367), amps=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=183))
+    # the last commanded line already under the floor
+    @example(period=40, amps=[1.0, 0.5, 1e-4])
+    def test_response_renders_the_command(self, period, amps):
+        # every commanded line exactly, also those under the -60 dB floor;
+        # past them the level falls 6 dB per line from the last commanded
+        # one and stops 60 dB under the strongest, or at once if the last is
+        # already lower
+        lines = (period - 1) // 2
+        amps = np.array(amps[:lines])
+        pulse = synth_glottal_pulse(period).samples
+        response = _tilt_compensated_model(amps, pulse, period)
+        rendered = _rendered_line_magnitudes(np.convolve(pulse, response), period, lines)
+        np.testing.assert_allclose(rendered[: amps.size], amps, rtol=1e-9)
+        rolled = amps[-1] * 10 ** (-6 * np.arange(1, lines - amps.size + 1) / 20)
+        floor = min(amps[-1], amps.max() * 10 ** (-60 / 20))
+        np.testing.assert_allclose(rendered[amps.size :], np.maximum(rolled, floor), rtol=1e-9)
+        # minimum phase: the response is the one its own magnitude gives
+        # through the causal fold of its real cepstrum
+        cepstrum = np.fft.ifft(np.log(np.abs(np.fft.fft(response)))).real
+        fold = np.zeros(period)
+        fold[0] = 1.0
+        fold[1 : (period + 1) // 2] = 2.0
+        if period % 2 == 0:
+            fold[period // 2] = 1.0  # the Nyquist quefrency is its own mirror
+        minimum = np.fft.ifft(np.exp(np.fft.fft(fold * cepstrum))).real
+        np.testing.assert_allclose(response, minimum, rtol=0, atol=1e-9 * np.abs(response).max())
+
+    def test_non_positive_command_rejected(self):
+        pulse = synth_glottal_pulse(200).samples
+        for amps in ([], [1.0, 0.0, 0.5], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="positive amplitude"):
+                _tilt_compensated_model(np.array(amps), pulse, 200)
 
     def test_stationary_output_is_filtered_pulse_train(self, monkeypatch):
-        # with one model, overlap-adding decayed responses equals filtering
-        # the periodic pulse train through that model
+        # with one command, the output is the first response's first period,
+        # then that response folded into one period and tiled
         import voicing.synthesis as synthesis_module
 
-        models = []
+        responses = []
 
-        def recording(*args, **kwargs):
-            models.append(_tilt_compensated_model(*args, **kwargs))
-            return models[-1]
+        def recording(*args):
+            responses.append(_tilt_compensated_model(*args))
+            return responses[-1]
 
         monkeypatch.setattr(synthesis_module, "_tilt_compensated_model", recording)
         amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]
         plan = stationary_plan(RATE / 200.0, amps, np.zeros(8), duration_s=0.3, order=10)
         out = synth_glo(plan).samples
-        assert len(models) == 1
+        assert len(responses) == 1
         pulse = synth_glottal_pulse(200).samples
-        train = np.tile(pulse, -(-out.size // 200))[: out.size]
-        expected = all_pole_filter(train, models[0].poles, models[0].gain)
-        assert np.max(np.abs(out - expected)) <= 1e-5 * np.abs(expected).max()
+        response = np.convolve(pulse, responses[0])
+        folded = response[:200] + np.append(response[200:], 0.0)
+        np.testing.assert_array_equal(out[:200], response[:200])
+        np.testing.assert_array_equal(out[200:], np.tile(folded, -(-out.size // 200))[200 : out.size])
 
     def test_each_fit_is_logged(self, monkeypatch, caplog):
+        # one DEBUG record per new command, with how closely it is rendered
         import voicing.synthesis as synthesis_module
 
-        fits = []
+        calls = []
 
-        def recording(*args, **kwargs):
-            fits.append(fit_lpc_envelope(*args, **kwargs))
-            return fits[-1]
+        def recording(*args):
+            calls.append(args)
+            return _tilt_compensated_model(*args)
 
-        monkeypatch.setattr(synthesis_module, "fit_lpc_envelope", recording)
-        amps = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]
-        plan = stationary_plan(RATE / 200.0, amps, np.zeros(8), duration_s=0.3, order=10)
+        monkeypatch.setattr(synthesis_module, "_tilt_compensated_model", recording)
         with caplog.at_level("DEBUG", logger="voicing.synthesis"):
-            synth_glo(plan)
-        records = [r for r in caplog.records if r.name == "voicing.synthesis"]
-        assert len(fits) >= 1
-        assert len(records) == len(fits)
-        for record, model in zip(records, fits):
-            message = record.getMessage()
-            assert "period 200" in message
-            assert f"order-{model.order}" in message
-            assert " dB" in message
-            assert f"radius {np.max(np.abs(model.poles)):.4f}" in message
+            synth_glo(_two_command_plan())
+        records = [r.getMessage() for r in caplog.records if r.name == "voicing.synthesis"]
+        assert len(calls) == 4
+        assert len(records) == len(calls)
+        for message in records:
+            assert message.startswith("GLO period 200: 8 commanded lines rendered within ")
+            assert float(message.split("within ")[1].removesuffix(" dB")) <= 1e-6
 
     def test_contour_roundtrip(self):
         plan = stationary_plan(110.0, [1.0, 0.7, 0.5, 0.3], np.zeros(4), duration_s=0.6, order=8)
@@ -533,60 +582,54 @@ class TestGlo:
         # frames 0-3 command A and frames 4-7 command B at one period of 200
         # samples.  Periods start at multiples of 200, and only 2200 and
         # 2400 fall strictly between the anchors of frames 3 and 4 (2048 and
-        # 2560), so: one fit for A, one per transition command, one for B.
-        # Each fit makes one pulse and filters it twice: once to render it,
-        # once to measure the fit's miss
+        # 2560), so: one response for A, one per transition command, one for
+        # B, each built for a pulse of its own
         import voicing.synthesis as synthesis_module
         from voicing.analysis import harmonic_amplitudes
 
         calls = []
         pulses = []
-        responses = []
 
-        def recording(amps, pulse_samples, period, *, warm_start=None):
-            model = _tilt_compensated_model(amps, pulse_samples, period, warm_start=warm_start)
-            calls.append((np.array(amps), warm_start, model))
-            return model
+        def recording(amps, pulse_samples, period):
+            calls.append(np.array(amps))
+            return _tilt_compensated_model(amps, pulse_samples, period)
 
-        def counting(record, function):
-            def wrapper(*args, **kwargs):
-                record.append(args)
-                return function(*args, **kwargs)
-
-            return wrapper
+        def counting(*args):
+            pulses.append(args)
+            return synth_glottal_pulse(*args)
 
         monkeypatch.setattr(synthesis_module, "_tilt_compensated_model", recording)
-        monkeypatch.setattr(synthesis_module, "synth_glottal_pulse", counting(pulses, synth_glottal_pulse))
-        monkeypatch.setattr(
-            synthesis_module, "_pulse_response", counting(responses, synthesis_module._pulse_response)
-        )
-        omega0 = 2 * np.pi / 200
-        commands = [
-            np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]),
-            np.array([1.0, 0.5, 0.6, 0.2, 0.25, 0.1, 0.05, 0.04]),
-        ]
-        envelopes = [fit_lpc_envelope(amps, omega0, 10) for amps in commands]
-        frames = [
-            FrameParams(
-                frame_index=m,
-                voiced=True,
-                omega0=omega0,
-                a0=1.0,
-                nrd=np.zeros(8),
-                magnitudes=commands[m // 4],
-                envelope=envelopes[m // 4],
-            )
-            for m in range(8)
-        ]
-        synth_glo(SynthesisPlan(frames=frames, sample_rate=RATE))
+        monkeypatch.setattr(synthesis_module, "synth_glottal_pulse", counting)
+        plan = _two_command_plan()
+        synth_glo(plan)
         assert len(calls) == 4
         assert len(pulses) == len(calls)
-        assert len(responses) == 2 * len(calls)
-        np.testing.assert_array_equal(calls[0][0], harmonic_amplitudes(frames[0]))
-        np.testing.assert_array_equal(calls[-1][0], harmonic_amplitudes(frames[-1]))
-        assert calls[0][1] is None
-        for (_, warm, _), (_, _, previous) in zip(calls[1:], calls[:-1]):
-            assert warm is previous
+        np.testing.assert_array_equal(calls[0], harmonic_amplitudes(plan.frames[0]))
+        np.testing.assert_array_equal(calls[-1], harmonic_amplitudes(plan.frames[-1]))
+
+
+def _two_command_plan():
+    """Eight frames at a period of 200 samples: frames 0-3 carry one
+    8-line command and frames 4-7 another."""
+    omega0 = 2 * np.pi / 200
+    commands = [
+        np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12, 0.1, 0.08]),
+        np.array([1.0, 0.5, 0.6, 0.2, 0.25, 0.1, 0.05, 0.04]),
+    ]
+    envelopes = [fit_lpc_envelope(amps, omega0, 10) for amps in commands]
+    frames = [
+        FrameParams(
+            frame_index=m,
+            voiced=True,
+            omega0=omega0,
+            a0=1.0,
+            nrd=np.zeros(8),
+            magnitudes=commands[m // 4],
+            envelope=envelopes[m // 4],
+        )
+        for m in range(8)
+    ]
+    return SynthesisPlan(frames=frames, sample_rate=RATE)
 
 
 class TestGlide:
@@ -606,6 +649,15 @@ class TestGlide:
 
 
 class TestPlan:
+    @pytest.mark.parametrize("f0", F0_RANGE_HZ)
+    def test_f0_at_the_range_bounds(self, f0):
+        # the longest and shortest periods analysis can report (368 and 44 samples)
+        plan = stationary_plan(f0, [1.0, 0.6, 0.4, 0.25], np.zeros(4), duration_s=0.3, order=6)
+        for engine in (synth_fre, synth_tim, synth_glo):
+            out = engine(plan).samples
+            assert out.size == plan.total_length
+            assert np.all(np.isfinite(out))
+
     def test_empty_length_rejected(self):
         frames = stationary_plan(110.0, [1.0, 0.5], [0.0, 0.0], duration_s=0.1, order=2).frames
         for total in (0, -5):
