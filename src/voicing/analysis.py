@@ -591,9 +591,9 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
 
     Splits the signal into `frame_len`-sample frames at 50% overlap,
     windows each with the square-root shifted Hanning window, and for
-    every voiced frame estimates f0, per-harmonic magnitudes and phases
-    (refined jointly across harmonics and, for the fundamental frequency,
-    across neighboring frames via phase differences) and the NRD vector.
+    every voiced frame estimates f0 from that frame alone
+    (`estimate_pitch_frame`), then the per-harmonic magnitudes and phases
+    at that f0 (solved jointly across harmonics) and the NRD vector.
     Unvoiced frames are flagged and carry no parameters.  No frame carries
     an envelope: `analyze_frames` fits those.
 
@@ -614,67 +614,19 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     rate = signal.sample_rate
     quant_floor = _quantisation_floor(w)
 
-    offsets = list(range(0, x.size - n + 1, hop))
-    spectra = []
-    coarse_f0 = []
-    for off in offsets:
-        spec = odft(x[off : off + n] * w)
-        spectra.append(spec)
-        coarse_f0.append(estimate_pitch_frame(spec, rate))
-
-    def harmonic_count_for(omega0):
-        count = int(np.floor(0.98 * np.pi / omega0))
-        return max(1, min(count, n // 3))
-
-    omega = [TWO_PI * f0 / rate if f0 else 0.0 for f0 in coarse_f0]
-    cs: list[np.ndarray | None] = []
-    for m, spec in enumerate(spectra):
-        if omega[m] <= 0.0:
-            cs.append(None)
-            continue
-        count = harmonic_count_for(omega[m])
-        cs.append(_solve_harmonics(spec, omega[m], count, n)[0])
-
-    # Cross-frame refinement of omega0 from harmonic phase advances.
-    refined = list(omega)
-    pair_est: dict[int, float] = {}
-    for m in range(len(offsets) - 1):
-        if cs[m] is None or cs[m + 1] is None:
-            continue
-        if abs(omega[m + 1] - omega[m]) > 0.03 * omega[m]:
-            continue
-        count = min(cs[m].size, cs[m + 1].size)
-        q = np.abs(cs[m][:count]) * np.abs(cs[m + 1][:count])
-        strong = q > 0.0003 * q.max()
-        if strong.sum() < 1:
-            continue
-        ell1 = np.arange(1, count + 1)[strong]
-        qs = q[strong]
-        w_mid = 0.5 * (omega[m] + omega[m + 1]) * ell1
-        dphi = np.angle(cs[m + 1][:count][strong]) - np.angle(cs[m][:count][strong])
-        k = np.round((w_mid * hop - dphi) / TWO_PI)
-        w_hat = (dphi + TWO_PI * k) / hop
-        est = float(np.sum(qs * ell1 * w_hat) / np.sum(qs * ell1**2))
-        resid = w_hat - ell1 * est
-        spread = np.sqrt(np.sum(qs * resid**2) / np.sum(qs))
-        if est > 0 and spread < 0.02 * est and abs(est - omega[m]) < 0.02 * omega[m]:
-            pair_est[m] = est
-    for m in range(len(offsets)):
-        parts = [pair_est[j] for j in (m - 1, m) if j in pair_est]
-        if parts:
-            refined[m] = float(np.mean(parts))
-
     frames = []
-    for m in range(len(offsets)):
-        if omega[m] <= 0.0:
+    for m, off in enumerate(range(0, x.size - n + 1, hop)):
+        spec = odft(x[off : off + n] * w)
+        f0 = estimate_pitch_frame(spec, rate)
+        if f0 is None:
             frames.append(FrameParams(frame_index=m, voiced=False))
             continue
-        w0 = refined[m]
-        count = harmonic_count_for(w0)
-        c, k_star, own = _solve_harmonics(spectra[m], w0, count, n)
+        w0 = TWO_PI * f0 / rate
+        count = max(1, min(int(np.floor(0.98 * np.pi / w0)), n // 3))
+        c, k_star, own = _solve_harmonics(spec, w0, count, n)
         amps = 2.0 * np.abs(c)
         phases = np.angle(c) + np.pi / 2
-        mags_abs = np.abs(spectra[m][:half])
+        mags_abs = np.abs(spec[:half])
         floor = max(_estimate_noise_floor(mags_abs, k_star, half), quant_floor)
         # each line's own image in its peak bin, the other lines' leakage
         # already solved out

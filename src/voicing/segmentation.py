@@ -240,12 +240,7 @@ def auto_seed(signal: AudioBuffer) -> SeedRegion:
     return SeedRegion(start_sample=lag, end_sample=2 * lag)
 
 
-def segment_track(
-    signal: AudioBuffer,
-    seed: SeedRegion,
-    *,
-    max_periods: int | None = None,
-) -> PeriodTrack:
+def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
     """Partition a voiced region into consecutive pitch periods.
 
     Starting from the seed, each iteration refines the period length by
@@ -264,8 +259,6 @@ def segment_track(
     prev_onset = None
 
     while True:
-        if max_periods is not None and len(track.periods) >= max_periods:
-            break
         try:
             est = refine_period(signal, cursor, est)
         except SegmentationLost:

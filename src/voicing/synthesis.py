@@ -91,7 +91,6 @@ class SynthesisPlan:
     sample_rate: int
     frame_len: int = 1024
     total_length: int | None = None
-    phi0_start: float = 0.0
 
     def __post_init__(self):
         if not self.frames:
@@ -186,7 +185,8 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
     (magnitude and phase), the harmonic amplitudes implied by a0 and the
     envelope, and phases reassembled from phi0 and the NRD model.  Frames
     with a measured phi0 use it; otherwise phi0 is propagated by
-    integrating omega0 across the hops.
+    integrating omega0 across the hops, from 0 when the first voiced frame
+    has none.
 
     The output spans ``[0, total_length)`` at full overlap-add gain: when
     the grid's first or last frame is voiced, its parameters are held over
@@ -208,7 +208,7 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
         if fp.phi0 is not None:
             phi0 = float(fp.phi0)
         elif not renders:
-            phi0 = plan.phi0_start
+            phi0 = 0.0
         else:
             prev_index, prev, prev_phi0 = renders[-1]
             gap = (fp.frame_index - prev_index) * hop

@@ -566,7 +566,7 @@ class TestAnalyzeFrames:
         x = make_harmonic_signal(147.0, amps, [0.0, 0.2, 0.5, 0.7], RATE)
         frames_a = analyze_frames(AudioBuffer(x, RATE), 1024)
         frames_b = analyze_frames(AudioBuffer(x[512:], RATE), 1024)
-        # interior frames only: edge frames have one-sided refinement context
+        # frame m + 1 of x covers the same samples as frame m of x[512:]
         pairs = [
             (fa, fb)
             for fa, fb in list(zip(frames_a[1:], frames_b))[1:-1]
@@ -602,6 +602,30 @@ class TestAnalyzeFrames:
         diff = np.abs(a - b)
         diff = np.minimum(diff, 1.0 - diff)
         assert np.max(diff) <= 0.02
+
+    @pytest.mark.parametrize(
+        "contour",
+        [
+            lambda t: 120.0 + 80.0 * t,  # glide, 120 to 160 Hz over 0.5 s
+            lambda t: 150.0 * (1.0 + 0.02 * np.sin(2 * np.pi * 5.0 * t)),  # 2 % vibrato at 5 Hz
+        ],
+        ids=["glide", "vibrato"],
+    )
+    def test_moving_f0_read_at_the_frame_centre(self, contour):
+        # each frame's f0 and lines belong at its centre, m * hop + N/2,
+        # however the f0 moves across neighbouring frames
+        amps = 1.0 / np.arange(1, 11)
+        amps /= amps.sum()
+        f0 = contour(np.arange(RATE // 2) / RATE)
+        phase = 2 * np.pi * np.cumsum(f0) / RATE
+        x = sum(a * np.sin((ell + 1) * phase) for ell, a in enumerate(amps))
+        voiced = [f for f in measure_frames(AudioBuffer(x, RATE), 1024) if f.voiced]
+        assert len(voiced) >= 18
+        for f in voiced:
+            centre = f.frame_index * 512 + 512
+            assert f.omega0 * RATE / (2 * np.pi) == pytest.approx(f0[centre], rel=2e-3)
+            assert f.magnitudes.size >= 10
+            assert np.max(np.abs(20 * np.log10(f.magnitudes[:10] / amps))) <= 1.0
 
     def test_unvoiced_frames_flagged(self):
         rng = np.random.default_rng(23)

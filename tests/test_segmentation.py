@@ -270,10 +270,11 @@ class TestSegmentTrack:
         buf_b = AudioBuffer(base[d:], RATE)
         seed_b = SeedRegion(300, 480)
         seed_a = SeedRegion(300 + d, 480 + d)
-        track_a = segment_track(buf_a, seed_a, max_periods=30)
-        track_b = segment_track(buf_b, seed_b, max_periods=30)
-        np.testing.assert_array_equal(track_a.period_lengths, track_b.period_lengths)
-        for pa, pb in zip(track_a.periods, track_b.periods):
+        periods_a = segment_track(buf_a, seed_a).periods[:30]
+        periods_b = segment_track(buf_b, seed_b).periods[:30]
+        assert len(periods_a) == len(periods_b) == 30
+        for pa, pb in zip(periods_a, periods_b):
+            assert pa.length == pb.length
             assert pa.start_sample == pb.start_sample + d
             diff = np.abs(wrap_cycles(pa.nrd) - wrap_cycles(pb.nrd))
             diff = np.minimum(diff, 1.0 - diff)

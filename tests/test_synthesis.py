@@ -243,11 +243,12 @@ class TestFre:
         interior = acc[n : -n]
         assert np.max(np.abs(interior - 1.0)) <= 1e-10
 
-    def test_bypass_transform_roundtrip_perfect(self):
-        # raw ODFT -> inverse -> windowed OLA without any parameters
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(RATE // 2)
-        n = 1024
+    @given(n=st.integers(2, 1024).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1))
+    @example(n=1024, seed=5)
+    def test_bypass_transform_roundtrip_perfect(self, n, seed):
+        # raw ODFT -> inverse -> windowed OLA without any parameters, at
+        # even frame lengths from 4 to 2048
+        x = np.random.default_rng(seed).standard_normal(4 * n)
         hop = n // 2
         w = make_sqrt_shifted_hanning(n)
         out = np.zeros(x.size)
@@ -304,7 +305,7 @@ class TestFre:
         nrd = [0.0, 0.3, 0.7]
         base = stationary_plan(f0, amps, nrd, duration_s=0.5, order=6)
         shifted = stationary_plan(f0, amps, nrd, duration_s=0.5, order=6)
-        shifted.phi0_start = base.phi0_start + np.pi
+        shifted.frames[0].phi0 = np.pi
         out_a = synth_fre(base)
         out_b = synth_fre(shifted)
         # time-shifted copy: best aligned correlation ~ 1 at a nonzero lag
