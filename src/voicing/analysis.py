@@ -3,6 +3,7 @@ LPC magnitude envelopes, and the ODFT parametric front-end."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ from .dsp import (
     split_poles,
 )
 
+log = logging.getLogger(__name__)
 TWO_PI = 2.0 * np.pi
 _POLE_RMAX = 0.998  # cap on fitted pole radii
 _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
@@ -144,7 +146,10 @@ def fit_lpc_envelope(
     onto a dense log-magnitude grid over [0, pi]; a warm fit starts from
     `warm_start`'s poles.  One Levenberg-Marquardt refinement of the poles
     then fits the weighted dB error at the lines themselves, so that the
-    model matches them closely even at low f0.
+    model matches them closely even at low f0.  `dsp.split_poles` alone
+    decides which start poles are real (`_poles_to_params`).  Each fit logs
+    one DEBUG record: cold or warm, order, lines, evaluations and whether
+    the budget ran out.
 
     Args:
         magnitudes: linear amplitude per harmonic, index l = 0..L-1, all
@@ -178,7 +183,8 @@ def fit_lpc_envelope(
 
     # stage 1: autocorrelation-method fit of the resampled line spectrum
     # (skipped when a warm start is supplied)
-    if warm_start is not None and warm_start.order == order:
+    warm = warm_start is not None and warm_start.order == order
+    if warm:
         poles = warm_start.poles
         budget = 300
     else:
@@ -193,40 +199,32 @@ def fit_lpc_envelope(
     # autocorrelation norm tolerates large relative errors in spectral
     # valleys; this stage does not)
     weights = np.where(active, 1.0, 0.25)
-    poles, gain = _refine_pole_fit(poles, omega_l, log_target, weights, max_nfev=budget)
+    poles, gain, solve = _refine_pole_fit(poles, omega_l, log_target, weights, max_nfev=budget)
+    log.debug("%s envelope fit, order %d on %d lines: %d evaluations%s", "warm" if warm else "cold",
+              order, mags.size, solve.nfev, ", budget used up" if solve.status == 0 else "")
     return LpcModel(poles, gain)
 
 
-def _poles_to_params(roots, order):
-    """Pack pole locations into the (logit radius, angle) vector used by
-    the refinement stage: order//2 conjugate pairs plus an optional real
-    pole.  Leftover real roots are approximated by near-real pairs on
-    their own side of the real axis: a pair that a fit settled at angle
-    pi comes back as two negative reals and must be packed back there."""
-    npairs = order // 2
-    nreal = order % 2
-    upper = sorted(
-        [r for r in roots if np.imag(r) > 1e-9], key=lambda r: -np.abs(r)
-    )
-    reals = sorted([np.real(r) for r in roots if abs(np.imag(r)) <= 1e-9], key=lambda v: -abs(v))
-    pairs = list(upper)
-    while len(pairs) < npairs and len(reals) >= 2:
-        r1, r2 = reals.pop(0), reals.pop(0)
+def _poles_to_params(poles):
+    """Pack poles into the (logit radius, angle) vector of the refinement
+    stage.  `dsp.split_poles` is the one real-pole rule: each conjugate pair
+    stays where it is, at any angle, and the real poles are paired two by
+    two, largest first, 0.02 rad off the axis on their own side; at an odd
+    order the smallest real is the real parameter."""
+    upper, reals = split_poles(poles)
+    reals = sorted(reals, key=lambda v: -abs(v))
+    pairs = sorted(upper, key=lambda r: -np.abs(r))
+    for r1, r2 in zip(reals[0::2], reals[1::2]):
         mag = np.sqrt(max(abs(r1) * abs(r2), 1e-6))
         pairs.append(mag * np.exp(1j * (0.02 if r1 + r2 >= 0 else np.pi - 0.02)))
-    while len(pairs) < npairs:
-        pairs.append(0.3 * np.exp(1j * (0.3 + 0.5 * len(pairs))))
-    pairs = pairs[:npairs]
     params = []
     for p in pairs:
         # a pair packed right at the cap would start where the sigmoid's
         # slope is ~1e-6, and no refit from this start could move it inward
         radius = np.clip(np.abs(p) / _POLE_RMAX, 1e-3, 1.0 - 1e-3)
-        params.append(np.log(radius / (1.0 - radius)))
-        params.append(np.abs(np.angle(p)))
-    if nreal:
-        q = reals[0] if reals else 0.3
-        params.append(np.arctanh(np.clip(q / _POLE_RMAX, -1 + 1e-6, 1 - 1e-6)))
+        params += [np.log(radius / (1.0 - radius)), np.angle(p)]
+    if len(reals) % 2:
+        params.append(np.arctanh(np.clip(reals[-1] / _POLE_RMAX, -1 + 1e-6, 1 - 1e-6)))
     params.append(0.0)  # log gain, set properly by the caller
     return np.asarray(params, dtype=np.float64)
 
@@ -251,7 +249,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
     """Weighted least-squares fit of the log magnitude at the harmonic
     lines, parameterized by pole radii (through a sigmoid, so stability is
     structural) and angles, starting from `init_poles`.  Returns (poles,
-    gain), every pole radius at most `_POLE_RMAX`.
+    gain, solver result), every pole radius at most `_POLE_RMAX`.
 
     Every shape is solved by MINPACK's Levenberg-Marquardt.  LM needs at
     least as many residuals as parameters, so when a frame has fewer lines
@@ -312,9 +310,9 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
         ld, _, _ = log_den(params)
         return float(np.sum(weights * (log_target + ld)) / np.sum(weights))
 
-    start = _poles_to_params(init_poles, order)
+    start = _poles_to_params(init_poles)
     start[-1] = optimal_gain(start)
-    params = least_squares(
+    solve = least_squares(
         residual,
         start,
         jac=jacobian,
@@ -324,8 +322,8 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
         xtol=1e-13,
         gtol=1e-13,
         max_nfev=max_nfev,
-    ).x
-    return _params_to_poles(params, order), float(np.exp(params[-1]))
+    )
+    return _params_to_poles(solve.x, order), float(np.exp(solve.x[-1])), solve
 
 
 # ---------------------------------------------------------------------------

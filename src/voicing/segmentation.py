@@ -219,8 +219,8 @@ def auto_seed(signal: AudioBuffer) -> SeedRegion:
 
     A periodic signal's autocorrelation peaks nearly equally at every
     multiple of its period, so the seed is the shortest lag whose peak
-    reaches 0.9 of the strongest one; either end of the lag range counts
-    as a peak.  Manual seeds are preferred for precision work."""
+    reaches 0.9 of the strongest one (`_local_maxima` of the lags padded
+    with -inf, so either end counts).  Manual seeds are preferred for precision work."""
     x = signal.samples
     rate = signal.sample_rate
     fmin, fmax = F0_RANGE_HZ
@@ -234,8 +234,7 @@ def auto_seed(signal: AudioBuffer) -> SeedRegion:
     e0 = np.dot(seg, seg)
     if e0 <= 0 or np.max(r) < 0.3 * e0:
         raise SegmentationLost("no periodicity found for automatic seeding")
-    edged = np.concatenate([[-np.inf], r, [-np.inf]])
-    peaks = np.flatnonzero((r > edged[:-2]) & (r >= edged[2:]))
+    peaks = np.array(_local_maxima(np.concatenate([[-np.inf], r, [-np.inf]]))) - 1
     lag = lag_min + int(peaks[r[peaks] >= 0.9 * r.max()][0])
     return SeedRegion(start_sample=lag, end_sample=2 * lag)
 

@@ -11,6 +11,8 @@ from voicing.analysis import (
     _POLE_RMAX,
     FrameParams,
     LpcModel,
+    _params_to_poles,
+    _poles_to_params,
     _refine_peak,
     analyze_frames,
     average_nrd,
@@ -231,8 +233,9 @@ class TestLpcEnvelope:
         assert np.median(err_db) <= 3.0
 
     def test_warm_start_keeps_pair_at_nyquist(self):
-        # a fitted pair at angle pi re-roots as a double negative real root;
-        # warm-started from its own model, the fit must stay where it is
+        # a pair that a fit leaves at angle pi stays a pair to `split_poles`;
+        # this model's exact double real pole at -0.9 is repacked as a
+        # near-real pair 0.02 rad from pi, and the warm fit must walk it back
         poles = [0.96 * np.exp(2j * np.pi * 700 / RATE), 0.94 * np.exp(2j * np.pi * 1900 / RATE)]
         poles += [np.conj(p) for p in poles] + [-0.9, -0.9]
         model = LpcModel(poles, 1.0)
@@ -241,6 +244,51 @@ class TestLpcEnvelope:
         mags = model.magnitude(omega_l)
         fit = fit_lpc_envelope(mags, omega0, 6, warm_start=model)
         assert np.max(np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))) <= 0.01
+
+    @settings(max_examples=100)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(1e-3, 1.0 - 1e-3), st.floats(1e-300, np.pi)), min_size=1, max_size=10),
+        real=st.none() | st.floats(-1.0 + 1e-6, 1.0 - 1e-6),
+    )
+    # pairs within 1e-9 of the real axis and exactly at angle pi
+    @example(pairs=[(0.5, 1e-12), (0.9, np.pi), (0.2, 2e-9)], real=None)
+    @example(pairs=[(0.5, 1e-12), (0.9, np.pi), (0.2, 2e-9)], real=-0.3)
+    def test_fitted_poles_survive_a_repack(self, pairs, real):
+        # a model the refinement returns, with radii inside the packing clip,
+        # packs back onto its own poles: a warm start begins where the
+        # previous fit ended
+        fraction, angle = np.array(pairs).T
+        params = np.column_stack([np.log(fraction / (1.0 - fraction)), angle]).ravel()
+        if real is not None:
+            params = np.append(params, np.arctanh(real))
+        params = np.append(params, 0.0)
+        order = 2 * len(pairs) + (real is not None)
+        poles = _params_to_poles(params, order)
+        back = _params_to_poles(_poles_to_params(poles), order)
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(poles[:, None] - back[None, :]))
+        assert np.abs(poles[rows] - back[cols]).max() <= 1e-12
+
+    def test_each_fit_is_logged(self, monkeypatch, caplog):
+        # one DEBUG record per fit: its start, its size and how it ended
+        solve = scipy.optimize.least_squares
+        ends = []
+
+        def recording(*args, **kwargs):
+            ends.append(solve(*args, **kwargs))
+            return ends[-1]
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+        omega0 = 2 * np.pi * 140.0 / RATE
+        mags = np.exp(-0.15 * np.arange(20)) * (1.0 + 0.5 * np.cos(np.arange(20)))
+        with caplog.at_level("DEBUG", logger="voicing.analysis"):
+            cold = fit_lpc_envelope(mags, omega0, 9)
+            fit_lpc_envelope(mags, omega0, 9, warm_start=cold)
+        records = [r.getMessage() for r in caplog.records if r.name == "voicing.analysis"]
+        assert records == [
+            f"{start} envelope fit, order 9 on 20 lines: {end.nfev} evaluations"
+            + (", budget used up" if end.status == 0 else "")
+            for start, end in zip(["cold", "warm"], ends, strict=True)
+        ]
 
     @pytest.mark.parametrize("lines, order", [(20, 10), (20, 9), (6, 12)])
     def test_jacobian_matches_finite_differences(self, monkeypatch, lines, order):
