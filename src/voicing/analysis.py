@@ -21,10 +21,10 @@ log = logging.getLogger(__name__)
 TWO_PI = 2.0 * np.pi
 _POLE_RMAX = 0.998  # cap on fitted pole radii
 _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
-# envelope-fit floor under the strongest line: lines below it are raised
-# onto it, as measured spectra sit on a noise floor anyway, so that the fit
-# spends no orders on data 80 dB down
-_ENVELOPE_FLOOR_DB = -60.0
+# numerical guard under the strongest line, not a noise floor: lines below
+# it (and zeros) are raised onto it, so that their log is finite and the
+# Yule-Walker start's Toeplitz system has condition at most 1e10
+_ENVELOPE_FLOOR_DB = -100.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
 _HARMONIC_SOLVE_ITERATIONS = 5  # relaxation rounds of the joint harmonic solve
 _ANALYSIS_LPC_ORDER = 18  # envelope order of a frame with at least nine lines
@@ -140,16 +140,17 @@ def fit_lpc_envelope(
 ) -> LpcModel:
     """Fit an all-pole magnitude model to a harmonic line spectrum.
 
-    Lines more than 60 dB under the strongest one are raised onto that
-    floor.  A cold fit starts from the Yule-Walker (autocorrelation-method)
+    The lines are fitted as given, each weighted equally: `measure_frames`
+    alone decides which lines are measurements.  Lines more than 100 dB
+    under the strongest (zeros too) are raised onto that level, a numerical
+    guard (`_ENVELOPE_FLOOR_DB`).  A cold fit starts from the Yule-Walker
     solution for the line spectrum (amplitudes at (l+1)*omega0) resampled
     onto a dense log-magnitude grid over [0, pi]; a warm fit starts from
     `warm_start`'s poles.  One Levenberg-Marquardt refinement of the poles
-    then fits the weighted dB error at the lines themselves, so that the
-    model matches them closely even at low f0.  `dsp.split_poles` alone
+    then fits the dB error at the lines themselves.  `dsp.split_poles` alone
     decides which start poles are real (`_poles_to_params`).  Each fit logs
-    one DEBUG record: cold or warm, order, lines, evaluations and whether
-    the budget ran out.
+    one DEBUG record: cold or warm, order, lines, evaluations, RMS line
+    error, largest pole radius and whether the budget ran out.
 
     Args:
         magnitudes: linear amplitude per harmonic, index l = 0..L-1, all
@@ -174,10 +175,8 @@ def fit_lpc_envelope(
     if not np.any(mags > 0):
         raise ValueError("cannot fit an envelope to all-zero magnitudes")
 
-    # the floor sits under the strongest line, so at least that line is active
-    floor = mags.max() * 10.0 ** (_ENVELOPE_FLOOR_DB / 20.0)
-    log_target = np.log(np.maximum(mags, floor))
-    active = mags > floor  # lines raised onto the floor are not measurements
+    guard = mags.max() * 10.0 ** (_ENVELOPE_FLOOR_DB / 20.0)
+    log_target = np.log(np.maximum(mags, guard))
     grid = np.arange(_ENVELOPE_GRID + 1) * np.pi / _ENVELOPE_GRID
     log_s = np.interp(grid, omega_l, log_target)
 
@@ -190,7 +189,7 @@ def fit_lpc_envelope(
     else:
         power = np.exp(2.0 * log_s)
         r = np.fft.irfft(power, 2 * _ENVELOPE_GRID)[: order + 1]
-        # a principal submatrix of the floored power's circulant: positive definite, condition <= 1e6
+        # a principal submatrix of the guarded power's circulant: positive definite, condition <= 1e10
         phi = solve_toeplitz((r[:order], r[:order]), r[1:])
         poles = np.roots(np.concatenate([[1.0], -phi]))
         budget = 400
@@ -198,10 +197,11 @@ def fit_lpc_envelope(
     # stage 2: pole-domain refinement of the dB error at the lines (the
     # autocorrelation norm tolerates large relative errors in spectral
     # valleys; this stage does not)
-    weights = np.where(active, 1.0, 0.25)
-    poles, gain, solve = _refine_pole_fit(poles, omega_l, log_target, weights, max_nfev=budget)
-    log.debug("%s envelope fit, order %d on %d lines: %d evaluations%s", "warm" if warm else "cold",
-              order, mags.size, solve.nfev, ", budget used up" if solve.status == 0 else "")
+    poles, gain, solve = _refine_pole_fit(poles, omega_l, log_target, max_nfev=budget)
+    rms_db = 20.0 / np.log(10.0) * np.sqrt(np.mean(solve.fun[: mags.size] ** 2))
+    log.debug("%s envelope fit, order %d on %d lines: %d evaluations, %.3g dB RMS, radius %.6f%s",
+              "warm" if warm else "cold", order, mags.size, solve.nfev, rms_db, np.abs(poles).max(),
+              ", budget used up" if solve.status == 0 else "")
     return LpcModel(poles, gain)
 
 
@@ -245,10 +245,11 @@ def _params_to_poles(params, order):
     return poles
 
 
-def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
-    """Weighted least-squares fit of the log magnitude at the harmonic
-    lines, parameterized by pole radii (through a sigmoid, so stability is
-    structural) and angles, starting from `init_poles`.  Returns (poles,
+def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
+    """Least-squares fit of the log magnitude at the harmonic lines, every
+    line weighted equally (the optimal log gain is the mean of log_target +
+    log|A|), parameterized by pole radii (through a sigmoid, so stability
+    is structural) and angles, starting from `init_poles`.  Returns (poles,
     gain, solver result), every pole radius at most `_POLE_RMAX`.
 
     Every shape is solved by MINPACK's Levenberg-Marquardt.  LM needs at
@@ -264,7 +265,6 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
     nreal = order % 2
     lines = omega_l.size
     rows = max(lines, order + 1)  # one parameter per pole, plus the log gain
-    sw = np.sqrt(weights)
     expw = np.exp(-1j * omega_l)
     last = {}  # the point evaluated last, and its (log_den, poles, factors)
 
@@ -279,7 +279,7 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
     def residual(params):
         ld, _, _ = log_den(params)
         out = np.zeros(rows)
-        out[:lines] = sw * (params[-1] - ld - log_target)
+        out[:lines] = params[-1] - ld - log_target
         return out
 
     def jacobian(params):
@@ -303,12 +303,11 @@ def _refine_pole_fit(init_poles, omega_l, log_target, weights, *, max_nfev):
             dq_dv = _POLE_RMAX * (1.0 - np.tanh(v) ** 2)
             jac[:lines, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
         jac[:lines, -1] = 1.0
-        jac[:lines] *= sw[:, None]
         return jac
 
     def optimal_gain(params):
         ld, _, _ = log_den(params)
-        return float(np.sum(weights * (log_target + ld)) / np.sum(weights))
+        return float(np.mean(log_target + ld))
 
     start = _poles_to_params(init_poles)
     start[-1] = optimal_gain(start)

@@ -153,10 +153,11 @@ def cross_correlate(template, signal, shifts, normalized: bool = False) -> np.nd
             f"shift range [{lo}, {hi}] places windows outside the signal "
             f"(signal length {signal.size}, template length {t})"
         )
-    r = np.correlate(signal[lo : hi + t], template, mode="valid")[shifts - lo]
+    span = signal[lo : hi + t]
+    r = np.correlate(span, template, mode="valid")[shifts - lo]
     if normalized:
-        sq = np.concatenate([[0.0], np.cumsum(signal**2)])
-        denom = np.linalg.norm(template) * np.sqrt(sq[shifts + t] - sq[shifts])
+        sq = np.concatenate([[0.0], np.cumsum(span**2)])
+        denom = np.linalg.norm(template) * np.sqrt(sq[shifts - lo + t] - sq[shifts - lo])
         r = np.where(denom > 0, r / np.where(denom > 0, denom, 1.0), 0.0)
     return r
 

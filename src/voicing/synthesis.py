@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import (
-    _ENVELOPE_FLOOR_DB,
-    FrameParams,
-    harmonic_amplitudes,
-    interpolate_params,
-    measure_frames,
-)
+from .analysis import FrameParams, harmonic_amplitudes, interpolate_params, measure_frames
 from .dsp import (
     AudioBuffer,
     cross_correlate,
@@ -46,6 +40,7 @@ TWO_PI = 2.0 * np.pi
 _FRE_BINS_PER_HARMONIC = 9  # ODFT bins FRE writes around each harmonic's peak
 _TIM_EXTENSION = 4  # samples of circular extension on each side of a TIM junction
 _GLO_ROLLOFF_DB = 6.0  # fall per line of GLO's rendered level past the commanded lines
+_GLO_FLOOR_DB = -60.0  # where that fall stops, under the strongest commanded line
 _COMPARE_FRAME_LEN = 1024  # analysis frame of compare_engines
 _COMPARE_MAGNITUDE_LIMIT_HZ = 4000.0  # highest line compare_engines' magnitude metrics cover
 
@@ -384,7 +379,7 @@ def _tilt_compensated_model(amps, pulse_samples, period):
 
     The level is the command at the commanded lines.  Past them it falls
     `_GLO_ROLLOFF_DB` per line from the last commanded line and stops at
-    `_ENVELOPE_FLOOR_DB` under the strongest one, or at once if the last
+    `_GLO_FLOOR_DB` under the strongest one, or at once if the last
     commanded line is already lower.  On the P-point grid, DC and an even
     P's Nyquist bin hold their nearest line's value.  The phase is the
     minimum phase of that log magnitude: its real cepstrum folded onto
@@ -398,7 +393,7 @@ def _tilt_compensated_model(amps, pulse_samples, period):
         raise ValueError("GLO needs at least one commanded line, every one of positive amplitude")
     log_target = np.log(target)
     db = np.log(10.0) / 20.0  # natural-log units per dB
-    stop = min(log_target[-1], log_target.max() + _ENVELOPE_FLOOR_DB * db)
+    stop = min(log_target[-1], log_target.max() + _GLO_FLOOR_DB * db)
     rolled = log_target[-1] - _GLO_ROLLOFF_DB * db * np.arange(1, lines - count + 1)
     log_level = np.concatenate([log_target, np.maximum(rolled, stop)])
     log_response = log_level - np.log(2.0 * np.abs(dft(pulse_samples)[1 : 1 + lines]) / period)

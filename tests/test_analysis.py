@@ -212,17 +212,21 @@ class TestLpcEnvelope:
         best = angles[np.argmin(np.abs(angles - omega_res))]
         assert abs(best - omega_res) / omega_res <= 0.02
 
-    def test_vowel_like_envelope_median_error(self):
-        # vowel-like target measured from a synthesized sustained-vowel
-        # period: formant resonator cascade plus glottal-style tilt
-        rng = np.random.default_rng(9)
+    @staticmethod
+    def _vowel_model():
+        # formant resonator cascade plus glottal-style tilt
         formants = [(700, 110), (1220, 120), (2600, 160), (3300, 200)]
         poles = []
         for fc, bw in formants:
             r = np.exp(-np.pi * bw / RATE)
             poles += [r * np.exp(2j * np.pi * fc / RATE), r * np.exp(-2j * np.pi * fc / RATE)]
         poles += [0.98, 0.9]  # spectral tilt
-        model = LpcModel(poles, 1.0)
+        return LpcModel(poles, 1.0)
+
+    def test_vowel_like_envelope_median_error(self):
+        # vowel-like target measured from a synthesized sustained-vowel period
+        rng = np.random.default_rng(9)
+        model = self._vowel_model()
         omega0 = 2 * np.pi * 118.0 / RATE
         omega_l = np.arange(1, 85) * omega0
         mags = model.magnitude(omega_l) * np.exp(rng.normal(0, 0.02, omega_l.size))
@@ -231,6 +235,19 @@ class TestLpcEnvelope:
         fit = fit_lpc_envelope(mags, omega0, 18)
         err_db = np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))
         assert np.median(err_db) <= 3.0
+
+    def test_deep_lines_fitted_as_given(self):
+        # the vowel's lines down to 95 dB under the strongest: the fitter
+        # raises none of them onto a floor, so every one is fitted
+        model = self._vowel_model()
+        omega0 = 2 * np.pi * 118.0 / RATE
+        omega_l = np.arange(1, 37) * omega0
+        db = 20 * np.log10(model.magnitude(omega_l) / model.magnitude(omega_l).max())
+        assert db[34] >= -95.0 > db[35]  # line 36 is the first below -95 dB
+        omega_l, mags = omega_l[:35], model.magnitude(omega_l[:35])
+        fit = fit_lpc_envelope(mags, omega0, 18)
+        err_db = np.abs(20 * np.log10(fit.magnitude(omega_l) / mags))
+        assert np.max(err_db) <= 1.0
 
     def test_warm_start_keeps_pair_at_nyquist(self):
         # a pair that a fit leaves at angle pi stays a pair to `split_poles`;
@@ -280,14 +297,18 @@ class TestLpcEnvelope:
         monkeypatch.setattr(scipy.optimize, "least_squares", recording)
         omega0 = 2 * np.pi * 140.0 / RATE
         mags = np.exp(-0.15 * np.arange(20)) * (1.0 + 0.5 * np.cos(np.arange(20)))
+        omega_l = np.arange(1, 21) * omega0
         with caplog.at_level("DEBUG", logger="voicing.analysis"):
             cold = fit_lpc_envelope(mags, omega0, 9)
-            fit_lpc_envelope(mags, omega0, 9, warm_start=cold)
+            warm = fit_lpc_envelope(mags, omega0, 9, warm_start=cold)
         records = [r.getMessage() for r in caplog.records if r.name == "voicing.analysis"]
+        # the line error is the returned model's, and the radius its largest
         assert records == [
-            f"{start} envelope fit, order 9 on 20 lines: {end.nfev} evaluations"
+            f"{start} envelope fit, order 9 on 20 lines: {end.nfev} evaluations, "
+            f"{np.sqrt(np.mean(np.log10(fit.magnitude(omega_l) / mags) ** 2)) * 20:.3g} dB RMS, "
+            f"radius {np.abs(fit.poles).max():.6f}"
             + (", budget used up" if end.status == 0 else "")
-            for start, end in zip(["cold", "warm"], ends, strict=True)
+            for start, end, fit in zip(["cold", "warm"], ends, [cold, warm], strict=True)
         ]
 
     @pytest.mark.parametrize("lines, order", [(20, 10), (20, 9), (6, 12)])
@@ -375,7 +396,7 @@ class TestLpcEnvelope:
     # a pair that saturates its radius sigmoid: |p| rounds one ulp above the
     # cap unless the fitter keeps it under
     @example(mags=[0.125, 0.75, 0.5], f0=62.0, order=3, start="cold")
-    # lines alternating between the strongest one and the -60 dB floor (or
+    # lines alternating between the strongest one and the -100 dB guard (or
     # below it): the Yule-Walker start's normal equations at their worst
     # conditioning
     @example(mags=[1.0, 0.0] * 20, f0=100.0, order=1, start="cold")

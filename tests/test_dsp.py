@@ -226,6 +226,21 @@ class TestCrossCorrelate:
             cross_correlate(template, signal, shifts, normalized=True), r[shifts], rtol=0, atol=1e-15
         )
 
+    def test_normalized_reads_only_the_shifted_windows(self):
+        # samples outside [min(shifts), max(shifts) + template length) take
+        # no part in the result, not even in the window norms
+        rng = np.random.default_rng(41)
+        signal = rng.standard_normal(500)
+        template = signal[100:200].copy()
+        shifts = [150, 90, 220]
+        clean = cross_correlate(template, signal, shifts, normalized=True)
+        poisoned = signal.copy()
+        poisoned[:90] = np.nan
+        poisoned[320:] = np.nan
+        r = cross_correlate(template, poisoned, shifts, normalized=True)
+        assert np.all(np.isfinite(r)) and np.all(r != 0.0)
+        np.testing.assert_allclose(r, clean, rtol=1e-12, atol=0)
+
 
 class TestAllPoleFilter:
     def test_order_zero_is_gain(self):
