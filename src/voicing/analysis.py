@@ -13,7 +13,7 @@ from .dsp import (
     AudioBuffer,
     make_sqrt_shifted_hanning,
     odft,
-    sine_window_spectrum,
+    sine_window_kernel,
     split_poles,
 )
 
@@ -26,7 +26,6 @@ _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
 # Yule-Walker start's Toeplitz system has condition at most 1e10
 _ENVELOPE_FLOOR_DB = -100.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
-_HARMONIC_SOLVE_ITERATIONS = 5  # relaxation rounds of the joint harmonic solve
 _ANALYSIS_LPC_ORDER = 18  # envelope order of a frame with at least nine lines
 F0_RANGE_HZ = (60.0, 500.0)  # fundamentals that pitch search and automatic seeding look for
 
@@ -527,40 +526,28 @@ def _solve_harmonics(spectrum, omega0, count, n):
     """Joint estimate of the complex harmonic amplitudes from peak bins.
 
     Models each measured peak bin as the sum of every harmonic's windowed
-    positive- and negative-frequency images and relaxes the resulting
-    linear system (fixed-point iteration).  Returns (C, k_star, own):
-    A_l = 2|C_l| and phi_l = angle(C_l) + pi/2, k_star_l is line l's
-    peak bin, and own_l = W(nu_l - omega_l) is its +frequency image there.
+    positive- and negative-frequency images and solves that model exactly.
+    About the frame centre h = (n - 1) / 2 the window's transform is the
+    real `sine_window_kernel` K times exp(-1j h nu), so with the bins
+    rotated by exp(1j h nu) and the amplitudes by exp(1j h omega) the
+    model splits into two real systems, one per real and imaginary part.
+    Returns (C, k_star, own): A_l = 2|C_l| and phi_l = angle(C_l) + pi/2,
+    k_star_l is line l's peak bin, and own_l = W(nu_l - omega_l) is its
+    +frequency image there.
     """
     half = n // 2
-    ell1 = np.arange(1, count + 1)
-    omega_l = ell1 * omega0
+    h = 0.5 * (n - 1)
+    omega_l = np.arange(1, count + 1) * omega0
     k_star = np.clip(np.round(omega_l * n / TWO_PI - 0.5).astype(int), 0, half - 1)
     nu = TWO_PI * (k_star + 0.5) / n
-    y = spectrum[k_star]
+    y = spectrum[k_star] * np.exp(1j * h * nu)
 
-    # wp[i, j]: response of harmonic i's +frequency image at harmonic j's bin
-    wp = sine_window_spectrum(n, (nu[None, :] - omega_l[:, None]).ravel()).reshape(count, count)
-    wm = sine_window_spectrum(n, (nu[None, :] + omega_l[:, None]).ravel()).reshape(count, count)
-    dp = np.diag(wp).copy()
-    dm = np.diag(wm).copy()
-
-    def solve_own(resid, w1, w2):
-        m11 = np.real(w1 + w2)
-        m12 = -np.imag(w1 - w2)
-        m21 = np.imag(w1 + w2)
-        m22 = np.real(w1 - w2)
-        det = m11 * m22 - m12 * m21
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        a = (np.real(resid) * m22 - np.imag(resid) * m12) / det
-        b = (m11 * np.imag(resid) - m21 * np.real(resid)) / det
-        return a + 1j * b
-
-    c = solve_own(y, dp, dm)
-    for _ in range(_HARMONIC_SOLVE_ITERATIONS):
-        interference = c @ wp + np.conj(c) @ wm - (c * dp + np.conj(c) * dm)
-        c = solve_own(y - interference, dp, dm)
-    return c, k_star, dp
+    # kp[i, j], km[i, j]: real kernel of harmonic i's +/- frequency image at harmonic j's bin
+    kp = sine_window_kernel(n, (nu[None, :] - omega_l[:, None]).ravel()).reshape(count, count)
+    km = sine_window_kernel(n, (nu[None, :] + omega_l[:, None]).ravel()).reshape(count, count)
+    d = np.linalg.solve((kp + km).T, y.real) + 1j * np.linalg.solve((kp - km).T, y.imag)
+    c = d * np.exp(-1j * h * omega_l)
+    return c, k_star, np.exp(-1j * h * (nu - omega_l)) * np.diag(kp)
 
 
 def _estimate_noise_floor(mags, k_star, half):

@@ -109,22 +109,27 @@ def _sine_ratio(theta: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def sine_window_kernel(n: int, nu) -> np.ndarray:
+    """Real transform of the length-n sine window about its centre.
+
+    About i = (n - 1) / 2 the window is cos(pi m / n), so its transform is
+    K(nu) = [D(nu - pi/n) + D(nu + pi/n)] / 2 with the Dirichlet kernel
+    D(x) = sin(n x / 2) / sin(x / 2) (Harris, Proc. IEEE 66(1), 1978).
+    `nu` is in radians per sample; scalar or array.
+    """
+    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    return 0.5 * (_sine_ratio((nu - np.pi / n) / 2.0, n) + _sine_ratio((nu + np.pi / n) / 2.0, n))
+
+
 def sine_window_spectrum(n: int, nu) -> np.ndarray:
     """Discrete-time Fourier transform of the length-n sine window.
 
-    W(nu) = sum_i sin(pi (i + 0.5) / n) * exp(-1j nu i), evaluated in
-    closed form from two geometric sums.  `nu` is in radians per sample;
-    scalar or array.
+    W(nu) = sum_i sin(pi (i + 0.5) / n) * exp(-1j nu i)
+          = exp(-1j nu (n - 1) / 2) * K(nu), with K the real
+    `sine_window_kernel`.  `nu` is in radians per sample; scalar or array.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
-
-    def geom(theta):
-        # sum_{i=0}^{n-1} exp(1j * theta * i)
-        return np.exp(1j * theta * (n - 1) / 2.0) * _sine_ratio(theta / 2.0, n)
-
-    w0 = np.pi / n
-    out = (np.exp(1j * w0 / 2.0) * geom(w0 - nu) - np.exp(-1j * w0 / 2.0) * geom(-w0 - nu)) / 2j
-    return out
+    return np.exp(-0.5j * (n - 1) * nu) * sine_window_kernel(n, nu)
 
 
 def cross_correlate(template, signal, shifts, normalized: bool = False) -> np.ndarray:

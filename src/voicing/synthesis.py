@@ -396,7 +396,7 @@ def _tilt_compensated_model(amps, pulse_samples, period):
     stop = min(log_target[-1], log_target.max() + _GLO_FLOOR_DB * db)
     rolled = log_target[-1] - _GLO_ROLLOFF_DB * db * np.arange(1, lines - count + 1)
     log_level = np.concatenate([log_target, np.maximum(rolled, stop)])
-    log_response = log_level - np.log(2.0 * np.abs(dft(pulse_samples)[1 : 1 + lines]) / period)
+    log_response = log_level - np.log(_rendered_line_magnitudes(pulse_samples, period, lines))
     cepstrum = np.fft.irfft(np.pad(log_response, (1, 1 - period % 2), mode="edge"), period)
     # fold: each negative quefrency onto its positive mirror; 0 and an even
     # P's P/2 are their own mirrors

@@ -14,6 +14,7 @@ from voicing.analysis import (
     _params_to_poles,
     _poles_to_params,
     _refine_peak,
+    _solve_harmonics,
     analyze_frames,
     average_nrd,
     estimate_pitch_frame,
@@ -601,6 +602,24 @@ class TestPitchEstimation:
         assert voiced >= 60
 
 
+class TestSolveHarmonics:
+    @pytest.mark.parametrize("f0", [50.0, 60.0])
+    def test_exact_on_windowed_lines(self, f0):
+        # lines under 2.3 bins apart (n = 512): every line of the exact
+        # windowed model comes back, however much its neighbours leak
+        n, count = 512, 170
+        rng = np.random.default_rng(int(f0))
+        amps = 0.9 ** np.arange(count)
+        phases = rng.uniform(0, 2 * np.pi, count)
+        omega0 = 2 * np.pi * f0 / RATE
+        i = np.arange(n)
+        x = np.sum(amps[:, None] * np.sin(np.outer(np.arange(1, count + 1) * omega0, i) + phases[:, None]), axis=0)
+        c, _, _ = _solve_harmonics(odft(x * make_sqrt_shifted_hanning(n)), omega0, count, n)
+        want = 0.5 * amps * np.exp(1j * (phases - np.pi / 2))
+        assert np.max(np.abs(20 * np.log10(2 * np.abs(c) / amps))) <= 1e-3
+        assert np.max(np.abs(c - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestAnalyzeFrames:
     def test_periods_per_frame(self):
         # ~5 fundamental periods fit in a 1024-sample frame at 110 Hz,
@@ -762,6 +781,24 @@ class TestAnalyzeFrames:
                 assert got is prev.envelope
         assert runs == 2
         assert warm >= 15
+
+    @settings(max_examples=40)
+    @given(
+        frame_len=st.sampled_from([256, 512, 1024]),
+        f0=st.floats(60.0, 500.0),
+        amps=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hostile_lines_measure_finite(self, frame_len, f0, amps, seed):
+        # any f0 in range, any frame length, any line set rounded to 16 bits:
+        # measuring never raises, and every voiced frame's lines are finite
+        phases = np.random.default_rng(seed).uniform(0, 1, len(amps))
+        x = make_harmonic_signal(f0, amps, phases, 3 * frame_len)
+        x = np.round(x / np.max(np.abs(x)) * 32767) / 32767
+        for f in measure_frames(AudioBuffer(x, RATE), frame_len):
+            if f.voiced:
+                assert np.all(np.isfinite(f.magnitudes)) and np.all(np.isfinite(f.nrd))
+                assert np.isfinite(f.omega0) and np.isfinite(f.phi0)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

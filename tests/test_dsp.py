@@ -163,13 +163,16 @@ class TestOdft:
 
 class TestSineWindowSpectrum:
     def test_matches_direct_summation(self):
-        n = 64
-        w = make_sqrt_shifted_hanning(n)
-        idx = np.arange(n)
         rng = np.random.default_rng(29)
-        for nu in np.concatenate([rng.uniform(-np.pi, np.pi, 16), [0.0, np.pi / n, 2 * np.pi * 5 / n]]):
-            direct = np.sum(w * np.exp(-1j * nu * idx))
-            assert sine_window_spectrum(n, nu)[0] == pytest.approx(direct, abs=1e-9 * n)
+        for n in (64, 1024):
+            w = make_sqrt_shifted_hanning(n)
+            idx = np.arange(n)
+            # the kernel's singular points +-pi/n + 2 pi m: on-grid lines sit
+            # on them, and the harmonic solve's negative images reach nu near 2 pi
+            singular = [s * np.pi / n + 2 * np.pi * m for s in (-1, 1) for m in (-1, 0, 1)]
+            for nu in np.concatenate([rng.uniform(-np.pi, np.pi, 16), [0.0, 2 * np.pi * 5 / n], singular]):
+                direct = np.sum(w * np.exp(-1j * nu * idx))
+                assert sine_window_spectrum(n, nu)[0] == pytest.approx(direct, abs=1e-9 * n)
 
     def test_peak_at_zero(self):
         n = 1024
