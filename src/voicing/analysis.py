@@ -196,11 +196,11 @@ def fit_lpc_envelope(
     # stage 2: pole-domain refinement of the dB error at the lines (the
     # autocorrelation norm tolerates large relative errors in spectral
     # valleys; this stage does not)
-    poles, gain, solve = _refine_pole_fit(poles, omega_l, log_target, max_nfev=budget)
-    rms_db = 20.0 / np.log(10.0) * np.sqrt(np.mean(solve.fun[: mags.size] ** 2))
+    poles, gain, info, ier = _refine_pole_fit(poles, omega_l, log_target, max_nfev=budget)
+    rms_db = 20.0 / np.log(10.0) * np.sqrt(np.mean(info["fvec"][: mags.size] ** 2))
     log.debug("%s envelope fit, order %d on %d lines: %d evaluations, %.3g dB RMS, radius %.6f%s",
-              "warm" if warm else "cold", order, mags.size, solve.nfev, rms_db, np.abs(poles).max(),
-              ", budget used up" if solve.status == 0 else "")
+              "warm" if warm else "cold", order, mags.size, info["nfev"], rms_db, np.abs(poles).max(),
+              ", budget used up" if ier == 5 else "")
     return LpcModel(poles, gain)
 
 
@@ -249,15 +249,23 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
     line weighted equally (the optimal log gain is the mean of log_target +
     log|A|), parameterized by pole radii (through a sigmoid, so stability
     is structural) and angles, starting from `init_poles`.  Returns (poles,
-    gain, solver result), every pole radius at most `_POLE_RMAX`.
+    gain, info, ier): every pole radius at most `_POLE_RMAX`, and MINPACK's
+    `infodict` (`nfev`, final residuals `fvec`) and exit code (5: the
+    budget ran out).
 
-    Every shape is solved by MINPACK's Levenberg-Marquardt.  LM needs at
-    least as many residuals as parameters, so when a frame has fewer lines
-    than parameters the residual vector and the Jacobian are padded with
-    zero rows, which leave the least-squares problem unchanged.  MINPACK
-    asks for the Jacobian at the point it evaluated last, so the Jacobian
-    reuses that point's poles and factors."""
-    from scipy.optimize import least_squares
+    Every shape is solved by MINPACK's Levenberg-Marquardt, lmder, called
+    through `scipy.optimize.leastsq` with the analytic Jacobian: the routine,
+    scaling (`diag=None`), step bound (`factor=100`) and tolerances that
+    `least_squares(method="lm", x_scale="jac")` reaches, without its
+    per-evaluation wrapper.  LM needs at least as many residuals as
+    parameters, so when a frame has fewer lines than parameters the residual
+    vector and the Jacobian are padded with zero rows, which leave the
+    least-squares problem unchanged.  Each residual evaluation keeps its
+    point's poles and factors, and the Jacobian reuses them when asked for
+    that same point (MINPACK asks for the point it evaluated last).  MINPACK
+    passes its own `x` buffer and overwrites it in place, so the kept point
+    is a copy, and nothing kept is a view of `params`."""
+    from scipy.optimize import leastsq
 
     order = init_poles.size
     npairs = order // 2
@@ -265,24 +273,23 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
     lines = omega_l.size
     rows = max(lines, order + 1)  # one parameter per pole, plus the log gain
     expw = np.exp(-1j * omega_l)
-    last = {}  # the point evaluated last, and its (log_den, poles, factors)
+    last = {}  # a copy of the point evaluated last, and its poles and factors
 
     def log_den(params):
-        if not np.array_equal(last.get("params"), params):
-            poles = _params_to_poles(params, order)
-            factors = 1.0 - poles[None, :] * expw[:, None]
-            den = np.prod(factors, axis=1)
-            last.update(params=params.copy(), value=(np.log(np.maximum(np.abs(den), 1e-300)), poles, factors))
-        return last["value"]
+        poles = _params_to_poles(params, order)
+        factors = 1.0 - poles[None, :] * expw[:, None]
+        last.update(params=params.copy(), poles=poles, factors=factors)
+        return np.log(np.maximum(np.abs(np.prod(factors, axis=1)), 1e-300))
 
     def residual(params):
-        ld, _, _ = log_den(params)
         out = np.zeros(rows)
-        out[:lines] = params[-1] - ld - log_target
+        out[:lines] = params[-1] - log_den(params) - log_target
         return out
 
     def jacobian(params):
-        _, poles, factors = log_den(params)
+        if not np.array_equal(last["params"], params):
+            log_den(params)
+        poles, factors = last["poles"], last["factors"]
         f_all = -expw[:, None] / factors  # d log(1 - p e^-jw) / dp
         jac = np.zeros((rows, params.size))
         if npairs:
@@ -304,24 +311,22 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
         jac[:lines, -1] = 1.0
         return jac
 
-    def optimal_gain(params):
-        ld, _, _ = log_den(params)
-        return float(np.mean(log_target + ld))
-
     start = _poles_to_params(init_poles)
-    start[-1] = optimal_gain(start)
-    solve = least_squares(
-        residual,
-        start,
-        jac=jacobian,
-        method="lm",
-        x_scale="jac",
-        ftol=1e-13,
-        xtol=1e-13,
-        gtol=1e-13,
-        max_nfev=max_nfev,
-    )
-    return _params_to_poles(solve.x, order), float(np.exp(solve.x[-1])), solve
+    start[-1] = np.mean(log_target + log_den(start))
+    # leastsq also forms the covariance of the fit, which is discarded here;
+    # from a singular Jacobian that product overflows and makes NaNs
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _, info, _, ier = leastsq(
+            residual,
+            start,
+            Dfun=jacobian,
+            full_output=True,
+            ftol=1e-13,
+            xtol=1e-13,
+            gtol=1e-13,
+            maxfev=max_nfev,
+        )
+    return _params_to_poles(x, order), float(np.exp(x[-1])), info, ier
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +418,9 @@ def interpolate_params(left: FrameParams, right: FrameParams, t: float):
 # Pitch estimation
 # ---------------------------------------------------------------------------
 
-def _refine_peak(mags: np.ndarray, k: int, bin_hz: float):
-    """Window-matched fractional-bin refinement of the peak at interior bin `k`.
+def _refine_peak(mags: np.ndarray, k, bin_hz: float):
+    """Window-matched fractional-bin refinement of the peaks at interior
+    bins `k` (an index or an array of them).
 
     Over its mainlobe the sine window's transform at d bins from a line is
     proportional to cos(pi d) / (1 - 4 d^2), so a line d in [0, 1/2] bins
@@ -423,9 +429,10 @@ def _refine_peak(mags: np.ndarray, k: int, bin_hz: float):
     [1/3, 1]: d = (3 rho - 1) / (2 (rho + 1)), and the line amplitude is
     |X[k]| (1 + 2d) / ((pi/2) sinc(1/2 - d)) (Harris, Proc. IEEE 66(1), 1978).
 
-    Returns (frequency_hz, line_amplitude_in_peak_bin_units)."""
-    side = 1 if mags[k + 1] >= mags[k - 1] else -1
-    rho = min(max(mags[k + side] / mags[k], 1.0 / 3.0), 1.0)
+    Returns (frequency_hz, line_amplitude_in_peak_bin_units), each shaped
+    like `k`."""
+    side = np.where(mags[k + 1] >= mags[k - 1], 1, -1)
+    rho = np.clip(mags[k + side] / mags[k], 1.0 / 3.0, 1.0)
     d = (3.0 * rho - 1.0) / (2.0 * (rho + 1.0))
     freq = (k + 0.5 + side * d) * bin_hz
     amp = mags[k] * (1.0 + 2.0 * d) / (0.5 * np.pi * np.sinc(0.5 - d))
@@ -460,27 +467,20 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
     if peaks.size == 0:
         return None
     order = np.argsort(mags[peaks])[::-1][:16]
-    peaks = peaks[order]
-    refined = [_refine_peak(mags, int(k), bin_hz) for k in peaks]
-    pfreq = np.array([f for f, _ in refined])
-    pamp = np.array([a for _, a in refined])
+    pfreq, pamp = _refine_peak(mags, peaks[order], bin_hz)
 
-    candidates = []
-    for f in pfreq:
-        for h in range(1, 13):
-            c = f / h
-            if fmin <= c <= fmax:
-                candidates.append(c)
-    if not candidates:
+    candidates = (pfreq[:, None] / np.arange(1, 13)).ravel()
+    candidates = np.sort(candidates[(fmin <= candidates) & (candidates <= fmax)])
+    if candidates.size == 0:
         return None
-    candidates = sorted(candidates)
-    deduped = [candidates[0]]
-    for c in candidates[1:]:
-        if c > deduped[-1] * 1.005:
-            deduped.append(c)
+    # the lowest candidate, then each next one more than 0.5 % above the last kept
+    after = np.searchsorted(candidates, candidates * 1.005, side="right")
+    kept = [0]
+    while after[kept[-1]] < candidates.size:
+        kept.append(after[kept[-1]])
 
     f_cap = min(5000.0, 0.45 * sample_rate, float(pfreq.max()) * 1.3 + bin_hz)
-    cands = np.asarray(deduped)
+    cands = candidates[kept]
     h_max = np.maximum(1, (f_cap / cands).astype(int))
     h = np.arange(1, int(h_max.max()) + 1)
     # the peak nearest to every harmonic of every candidate (the first on ties)
@@ -506,11 +506,11 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
     ws = pamp[nearest[best][hit[best]]]
     f0 = float(np.sum(ws * hs * fs_) / np.sum(ws * hs**2))
 
-    matched_energy = 0.0
-    for f in fs_:
-        k = int(round(f / bin_hz - 0.5))
-        lo, hi = max(0, k - 2), min(half, k + 3)
-        matched_energy += float(np.sum(mags[lo:hi] ** 2))
+    # the energy of the 5 bins about each matched peak, summed left to right
+    near = np.round(fs_ / bin_hz - 0.5).astype(int)[:, None] + np.arange(-2, 3)
+    inside = (near >= 0) & (near < half)
+    power = np.where(inside, mags[np.clip(near, 0, half - 1)] ** 2, 0.0)
+    matched_energy = np.cumsum(np.cumsum(power, axis=1)[:, -1])[-1]
     if matched_energy < _VOICING_THRESHOLD * total_energy:
         return None
     if not fmin * 0.5 <= f0 <= fmax * 1.5:
@@ -522,6 +522,37 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
 # Frame-based parametric analysis
 # ---------------------------------------------------------------------------
 
+def _image_kernels(omega_l, k_star, n):
+    """Real kernels kp[i, j], km[i, j] of line i's +/- frequency image in
+    bin k_star[j]: `sine_window_kernel` at nu_j -+ omega_i, nu_j = 2 pi
+    (k_star[j] + 1/2) / n, filled in factored form.
+
+    The two Dirichlet terms of K at x = nu_j -+ omega_i have x/2 = pi m/n
+    -+ omega_i/2 at the edges m = k_star[j] and k_star[j] + 1 of bin j.  So
+    each numerator sin(n x/2) is (-1)**m (-+ sin(n omega_i/2)), a per-bin
+    sign times a per-line sine, and each denominator sin(x/2) expands into
+    outer products of per-bin and per-line sines and cosines.  For lines in
+    (0, pi) a denominator nears zero, where the quotient loses precision,
+    only at the singular limit of a +frequency image: line i lies in bin
+    k_star[i], so only bins j with |k_star[j] - k_star[i]| <= 1 have an
+    edge within one bin of it.  Those entries are `sine_window_kernel`
+    itself, singular limit included; every other +frequency denominator has
+    |x/2| >= pi/n, and every -frequency one has x/2 in [omega_i/2, pi -
+    (pi - omega_i)/2]."""
+    b = 0.5 * omega_l[:, None]
+    sin_b, cos_b = np.sin(b), np.cos(b)
+    lo, hi = np.pi * k_star / n, np.pi * (k_star + 1) / n
+    sin_lo, cos_lo, sin_hi, cos_hi = np.sin(lo), np.cos(lo), np.sin(hi), np.cos(hi)
+    numer = np.where(k_star % 2, -0.5, 0.5) * np.sin(n * b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the singular limit, replaced below
+        kp = numer * (1.0 / (sin_hi * cos_b - cos_hi * sin_b) - 1.0 / (sin_lo * cos_b - cos_lo * sin_b))
+    km = numer * (1.0 / (sin_lo * cos_b + cos_lo * sin_b) - 1.0 / (sin_hi * cos_b + cos_hi * sin_b))
+    near = np.abs(k_star[None, :] - k_star[:, None]) <= 1
+    nu = TWO_PI * (k_star + 0.5) / n
+    kp[near] = sine_window_kernel(n, (nu[None, :] - omega_l[:, None])[near])
+    return kp, km
+
+
 def _solve_harmonics(spectrum, omega0, count, n):
     """Joint estimate of the complex harmonic amplitudes from peak bins.
 
@@ -531,6 +562,8 @@ def _solve_harmonics(spectrum, omega0, count, n):
     real `sine_window_kernel` K times exp(-1j h nu), so with the bins
     rotated by exp(1j h nu) and the amplitudes by exp(1j h omega) the
     model splits into two real systems, one per real and imaginary part.
+    `_image_kernels` fills their matrices from per-line and per-bin factors,
+    and from `sine_window_kernel` itself where K reaches its singular limit.
     Returns (C, k_star, own): A_l = 2|C_l| and phi_l = angle(C_l) + pi/2,
     k_star_l is line l's peak bin, and own_l = W(nu_l - omega_l) is its
     +frequency image there.
@@ -542,9 +575,7 @@ def _solve_harmonics(spectrum, omega0, count, n):
     nu = TWO_PI * (k_star + 0.5) / n
     y = spectrum[k_star] * np.exp(1j * h * nu)
 
-    # kp[i, j], km[i, j]: real kernel of harmonic i's +/- frequency image at harmonic j's bin
-    kp = sine_window_kernel(n, (nu[None, :] - omega_l[:, None]).ravel()).reshape(count, count)
-    km = sine_window_kernel(n, (nu[None, :] + omega_l[:, None]).ravel()).reshape(count, count)
+    kp, km = _image_kernels(omega_l, k_star, n)
     d = np.linalg.solve((kp + km).T, y.real) + 1j * np.linalg.solve((kp - km).T, y.imag)
     c = d * np.exp(-1j * h * omega_l)
     return c, k_star, np.exp(-1j * h * (nu - omega_l)) * np.diag(kp)
@@ -552,9 +583,7 @@ def _solve_harmonics(spectrum, omega0, count, n):
 
 def _estimate_noise_floor(mags, k_star, half):
     mask = np.ones(half, dtype=bool)
-    for k in k_star:
-        lo, hi = max(0, k - 2), min(half, k + 3)
-        mask[lo:hi] = False
+    mask[np.clip(k_star[:, None] + np.arange(-2, 3), 0, half - 1)] = False  # 5 bins about each line
     rest = mags[mask]
     if rest.size == 0:
         return 0.0

@@ -11,6 +11,7 @@ from voicing.analysis import (
     _POLE_RMAX,
     FrameParams,
     LpcModel,
+    _image_kernels,
     _params_to_poles,
     _poles_to_params,
     _refine_peak,
@@ -26,7 +27,7 @@ from voicing.analysis import (
     vertical_unwrap,
     wrap_cycles,
 )
-from voicing.dsp import AudioBuffer, all_pole_filter, make_sqrt_shifted_hanning, odft
+from voicing.dsp import AudioBuffer, all_pole_filter, make_sqrt_shifted_hanning, odft, sine_window_kernel
 
 RATE = 22050
 
@@ -109,16 +110,19 @@ def reference_pitch_frame(spectrum, sample_rate, *, fmin=60.0, fmax=500.0):
 
 
 def capture_solves(monkeypatch):
-    """Record (residual, jacobian, method) of every `least_squares` call
-    that `fit_lpc_envelope` makes, passing each call through."""
-    solve = scipy.optimize.least_squares
+    """Record (residual, jacobian, x0, MINPACK routine, keyword arguments,
+    result) of every `leastsq` call that `fit_lpc_envelope` makes, passing
+    each call through."""
+    solve = scipy.optimize.leastsq
     calls = []
 
-    def recording(fun, x0, *, jac, **kwargs):
-        calls.append((fun, jac, np.array(x0), kwargs.get("method", "trf")))
-        return solve(fun, x0, jac=jac, **kwargs)
+    def recording(func, x0, *, Dfun=None, **kwargs):
+        result = solve(func, x0, Dfun=Dfun, **kwargs)
+        # leastsq runs lmder on an analytic Jacobian, lmdif on finite differences
+        calls.append((func, Dfun, np.array(x0), "lmdif" if Dfun is None else "lmder", kwargs, result))
+        return result
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    monkeypatch.setattr(scipy.optimize, "leastsq", recording)
     return calls
 
 
@@ -288,14 +292,7 @@ class TestLpcEnvelope:
 
     def test_each_fit_is_logged(self, monkeypatch, caplog):
         # one DEBUG record per fit: its start, its size and how it ended
-        solve = scipy.optimize.least_squares
-        ends = []
-
-        def recording(*args, **kwargs):
-            ends.append(solve(*args, **kwargs))
-            return ends[-1]
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+        calls = capture_solves(monkeypatch)
         omega0 = 2 * np.pi * 140.0 / RATE
         mags = np.exp(-0.15 * np.arange(20)) * (1.0 + 0.5 * np.cos(np.arange(20)))
         omega_l = np.arange(1, 21) * omega0
@@ -303,13 +300,14 @@ class TestLpcEnvelope:
             cold = fit_lpc_envelope(mags, omega0, 9)
             warm = fit_lpc_envelope(mags, omega0, 9, warm_start=cold)
         records = [r.getMessage() for r in caplog.records if r.name == "voicing.analysis"]
-        # the line error is the returned model's, and the radius its largest
+        # the line error is the returned model's, and the radius its largest;
+        # MINPACK's exit code 5 means the evaluation budget ran out
         assert records == [
-            f"{start} envelope fit, order 9 on 20 lines: {end.nfev} evaluations, "
+            f"{start} envelope fit, order 9 on 20 lines: {info['nfev']} evaluations, "
             f"{np.sqrt(np.mean(np.log10(fit.magnitude(omega_l) / mags) ** 2)) * 20:.3g} dB RMS, "
             f"radius {np.abs(fit.poles).max():.6f}"
-            + (", budget used up" if end.status == 0 else "")
-            for start, end, fit in zip(["cold", "warm"], ends, [cold, warm], strict=True)
+            + (", budget used up" if ier == 5 else "")
+            for start, (*_, (_, _, info, _, ier)), fit in zip(["cold", "warm"], calls, [cold, warm], strict=True)
         ]
 
     @pytest.mark.parametrize("lines, order", [(20, 10), (20, 9), (6, 12)])
@@ -318,7 +316,7 @@ class TestLpcEnvelope:
         omega0 = 2 * np.pi * 140.0 / RATE
         mags = np.exp(-0.15 * np.arange(lines)) * (1.0 + 0.5 * np.cos(np.arange(lines)))
         fit_lpc_envelope(mags, omega0, order)
-        residual, jacobian, x0, _ = calls[0]
+        residual, jacobian, x0, *_ = calls[0]
         rng = np.random.default_rng(order)
         x = x0 + rng.normal(0.0, 0.1, x0.size)
         step = 1e-6
@@ -328,14 +326,52 @@ class TestLpcEnvelope:
             e[i] = step
             numeric[:, i] = (residual(x + e) - residual(x - e)) / (2 * step)
         # the last residual point differs from x: a Jacobian served from a
-        # stale evaluation fails here
-        residual(x + 0.05)
-        jac = jacobian(x)
+        # stale evaluation fails here.  MINPACK overwrites its point in place,
+        # so the stale point's buffer is the one the Jacobian is asked at
+        point = x + 0.05
+        residual(point)
+        point[:] = x
+        jac = jacobian(point)
         rows = max(lines, order + 1)  # zero rows pad an underdetermined fit
         assert jac.shape == (rows, order + 1)
         np.testing.assert_allclose(jac, numeric, rtol=1e-5, atol=1e-6)
         np.testing.assert_array_equal(jac[lines:], 0.0)
         np.testing.assert_array_equal(residual(x)[lines:], 0.0)
+
+    @pytest.mark.parametrize("f0, order, lines", [(140.0, 9, 40), (140.0, 10, 40), (230.0, 10, 6)])
+    def test_fit_is_least_squares_lm(self, monkeypatch, f0, order, lines):
+        # the model is bitwise the one that least_squares' LM method returns
+        # from the same closures, start and budget: one MINPACK routine,
+        # scaling, step bound and tolerances.  The lines are those of an
+        # all-pole model of the fitted order, so each fit converges, and to
+        # one point: fits that use up their budget or stall with saturated
+        # parameters can end at different points on identical input, in
+        # least_squares as in leastsq
+        formants = [(700, 110), (1220, 120), (2600, 160), (3300, 200), (4200, 250)][: order // 2]
+        radii = [np.exp(-np.pi * bw / RATE) for _, bw in formants]
+        upper = [r * np.exp(2j * np.pi * fc / RATE) for r, (fc, _) in zip(radii, formants)]
+        truth = LpcModel(upper + [np.conj(p) for p in upper] + [0.9] * (order % 2), 1.0)
+        omega0 = 2 * np.pi * f0 / RATE
+        mags = truth.magnitude(np.arange(1, lines + 1) * omega0)
+        calls = capture_solves(monkeypatch)
+        fit = fit_lpc_envelope(mags, omega0, order)
+        residual, jacobian, x0, _, kwargs, (x, _, info, _, ier) = calls[0]
+        assert ier in (1, 2, 3, 4)  # converged
+        ref = scipy.optimize.least_squares(
+            residual,
+            x0,
+            jac=jacobian,
+            method="lm",
+            x_scale="jac",
+            ftol=1e-13,
+            xtol=1e-13,
+            gtol=1e-13,
+            max_nfev=kwargs["maxfev"],
+        )
+        assert ref.nfev == info["nfev"]
+        np.testing.assert_array_equal(ref.x, x)
+        np.testing.assert_array_equal(_params_to_poles(ref.x, order), fit.poles)
+        assert float(np.exp(ref.x[-1])) == fit.gain
 
     def test_one_solver_for_every_shape(self, monkeypatch):
         # 6 lines at order 12: more parameters than lines
@@ -343,10 +379,37 @@ class TestLpcEnvelope:
         omega0 = 2 * np.pi * 140.0 / RATE
         mags = np.array([1.0, 0.7, 0.45, 0.3, 0.2, 0.12])
         fit = fit_lpc_envelope(mags, omega0, 12)
-        assert calls and {method for *_, method in calls} == {"lm"}
+        assert calls and {routine for _, _, _, routine, _, _ in calls} == {"lmder"}
         # bound: the 4.5e-5 dB that scipy's TRF solver reaches on this fit
         err_db = np.abs(20 * np.log10(fit.magnitude(np.arange(1, 7) * omega0) / mags))
         assert np.max(err_db) <= 4.5e-5
+
+    def test_singular_fit_is_quiet(self):
+        # a warm fit met in analysis (order 18 on 31 lines at 140 Hz), whose
+        # start holds two pairs within 2e-7 rad of pi: the Jacobian where it
+        # converges is singular, and the covariance that leastsq forms from
+        # it, which the fitter discards, overflows and makes NaNs
+        omega0 = 0.039889075563911795
+        mags = [
+            0.2620819787658773, 0.14655129406658213, 0.117971979742972, 0.14552552759852802,
+            0.2999811406753382, 0.09738745040477695, 0.055419266904624044, 0.05889489875889556,
+            0.05563730216224335, 0.01398235202853808, 0.00580570468908278, 0.0031795228226778123,
+            0.0020202241644780338, 0.0014872429813263832, 0.001214767379789389, 0.0011643952514852312,
+            0.0013288493340842, 0.0021565722479127804, 0.0019857066305824693, 0.000825791140638398,
+            0.0004884513249555975, 0.0003992939728488033, 0.000427689476698935, 0.0002934703756030328,
+            9.721613534765658e-05, 4.18360386042257e-05, 2.0530166047204888e-05, 1.1546069187701201e-05,
+            6.768570398831992e-06, 4.275509650410975e-06, 2.772436089596675e-06,
+        ]  # fmt: skip
+        upper = np.array([
+            -0.9944399833699159 + 1.5818931282918259e-10j, -0.9935474876298337 + 2.0803057252226186e-07j,
+            0.7118896766543019 + 0.6857283679378922j, 0.825574022045653 + 0.025209786157708948j,
+            0.8470724943065462 + 0.3895677498499787j, 0.8516538688222046 + 0.5202764667700597j,
+            0.9262129624858545 + 0.0005902636726206896j, 0.9280889977462682 + 0.32664097665312564j,
+            0.9637370856924384 + 0.194783093526568j,
+        ])  # fmt: skip
+        warm = LpcModel(np.concatenate([upper, np.conj(upper)]), 6.179773001439365e-08)
+        fit = fit_lpc_envelope(mags, omega0, 18, warm_start=warm)  # a RuntimeWarning fails here
+        assert np.abs(fit.poles).max() <= _POLE_RMAX
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -601,8 +664,52 @@ class TestPitchEstimation:
                 voiced += want is not None
         assert voiced >= 60
 
+    @settings(max_examples=40)
+    @given(
+        f0=st.floats(60.0, 500.0),
+        amps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        noisy=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_candidate_loop_on_tones(self, f0, amps, noisy, seed):
+        # the vectorised peak refinement, candidate generation and scoring
+        # give exactly the loop's f0 (or None) on any 1-8-line tone in range,
+        # clean or with white noise 40 dB down
+        rng = np.random.default_rng(seed)
+        x = make_harmonic_signal(f0, amps, rng.uniform(0, 1, len(amps)), 2048)
+        if noisy:
+            x += 10 ** (-40 / 20) * np.sqrt(np.mean(x**2)) * rng.standard_normal(x.size)
+        w = make_sqrt_shifted_hanning(1024)
+        for off in (0, 512, 1024):
+            spec = odft(x[off : off + 1024] * w)
+            assert estimate_pitch_frame(spec, RATE) == reference_pitch_frame(spec, RATE)
+
 
 class TestSolveHarmonics:
+    @settings(max_examples=50)
+    @given(f0=st.floats(60.0, 500.0), n=st.sampled_from([512, 1024]))
+    # lines on bin edges, where +frequency entries reach the singular limit:
+    # the transform's grid at n = 1024 (every line) and n = 512 (every other)
+    @example(f0=5 * RATE / 1024, n=1024)
+    @example(f0=5 * RATE / 1024, n=512)
+    # every line on a bin edge, and a line on every edge (n = 512: 1 bin apart)
+    @example(f0=3 * RATE / 512, n=512)
+    @example(f0=2 * RATE / 1024, n=1024)
+    def test_factored_kernels_match_sine_window_kernel(self, f0, n):
+        # the kernels of measure_frames' line count, against the kernel
+        # evaluated entry by entry
+        omega0 = 2 * np.pi * f0 / RATE
+        count = max(1, min(int(np.floor(0.98 * np.pi / omega0)), n // 3))
+        omega_l = np.arange(1, count + 1) * omega0
+        k_star = np.clip(np.round(omega_l * n / (2 * np.pi) - 0.5).astype(int), 0, n // 2 - 1)
+        nu = 2 * np.pi * (k_star + 0.5) / n
+        kp, km = _image_kernels(omega_l, k_star, n)
+        want_p = sine_window_kernel(n, (nu[None, :] - omega_l[:, None]).ravel()).reshape(count, count)
+        want_m = sine_window_kernel(n, (nu[None, :] + omega_l[:, None]).ravel()).reshape(count, count)
+        scale = max(np.abs(want_p).max(), np.abs(want_m).max())
+        assert np.abs(kp - want_p).max() <= 1e-9 * scale
+        assert np.abs(km - want_m).max() <= 1e-9 * scale
+
     @pytest.mark.parametrize("f0", [50.0, 60.0])
     def test_exact_on_windowed_lines(self, f0):
         # lines under 2.3 bins apart (n = 512): every line of the exact
