@@ -132,39 +132,45 @@ def sine_window_spectrum(n: int, nu) -> np.ndarray:
     return np.exp(-0.5j * (n - 1) * nu) * sine_window_kernel(n, nu)
 
 
-def cross_correlate(template, signal, shifts, normalized: bool = False) -> np.ndarray:
-    """Sliding dot product of `template` against `signal`.
+def window_norms(signal, length: int) -> np.ndarray:
+    """|signal[k : k + length]| for k = 0 .. signal.size - length, from one
+    running sum of squares over `signal`."""
+    sq = np.concatenate([[0.0], np.cumsum(signal**2)])
+    return np.sqrt(sq[length:] - sq[:-length])
 
-    r[S] = sum_n template[n] * signal[n + S] for each S in `shifts` (in any
-    order, repeats allowed), read from one correlation over the span
-    [min(shifts), max(shifts)].  With `normalized=True` each value is
-    divided by the product of the template norm and the norm of the shifted
-    signal window (cosine similarity), useful where the amplitude varies
-    along the signal.
 
-    Raises ValueError when any shifted window falls outside the signal.
+def normalize_correlation(raw, template, span) -> np.ndarray:
+    """Cosine similarity: each `raw[k]`, the dot product of `template` with
+    span[k : k + t], over |template| times that window's `window_norms`,
+    0 where that product is 0."""
+    denom = np.linalg.norm(template) * window_norms(span, template.size)
+    return np.divide(raw, denom, out=np.zeros(denom.size), where=denom > 0)
+
+
+def cross_correlate(template, signal, lags, normalized: bool = False) -> np.ndarray:
+    """Sliding dot product of `template` against `signal` over the lags
+    `lags` = (first, last), both included.
+
+    r[k] = sum_n template[n] * signal[n + first + k], k = 0 .. last - first,
+    from one correlation over signal[first : last + t], t the template
+    length.  `normalized=True` gives the cosine similarity
+    (`normalize_correlation`), useful where the amplitude varies.  Raises
+    ValueError when the range is empty or a window leaves the signal.
     """
     template = np.asarray(template, dtype=np.float64)
     signal = np.asarray(signal, dtype=np.float64)
-    shifts = np.asarray(shifts, dtype=np.int64)
+    first, last = map(int, lags)
     t = template.size
     if t < 2:
         raise ValueError("template must have at least 2 samples")
-    if shifts.size == 0:
-        return np.zeros(0)
-    lo, hi = int(shifts.min()), int(shifts.max())
-    if lo < 0 or hi + t > signal.size:
+    if first < 0 or last < first or last + t > signal.size:
         raise ValueError(
-            f"shift range [{lo}, {hi}] places windows outside the signal "
+            f"lag range [{first}, {last}] is empty or places windows outside the signal "
             f"(signal length {signal.size}, template length {t})"
         )
-    span = signal[lo : hi + t]
-    r = np.correlate(span, template, mode="valid")[shifts - lo]
-    if normalized:
-        sq = np.concatenate([[0.0], np.cumsum(span**2)])
-        denom = np.linalg.norm(template) * np.sqrt(sq[shifts - lo + t] - sq[shifts - lo])
-        r = np.where(denom > 0, r / np.where(denom > 0, denom, 1.0), 0.0)
-    return r
+    span = signal[first : last + t]
+    r = np.correlate(span, template, mode="valid")
+    return normalize_correlation(r, template, span) if normalized else r
 
 
 def pole_radii(coefficients) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import F0_RANGE_HZ, nrd_from_phases
-from .dsp import AudioBuffer, cross_correlate, dft
+from .dsp import AudioBuffer, cross_correlate, dft, normalize_correlation
 
 log = logging.getLogger(__name__)
 _LOST_THRESHOLD = 0.3  # normalized correlation under which periodicity counts as lost
@@ -60,14 +60,25 @@ class PitchPeriod:
 
 @dataclass
 class PeriodTrack:
-    """Contiguous pitch periods: each period starts where the previous ends."""
+    """Contiguous pitch periods: each period starts where the previous ends.
+
+    Tracking stopped at `end_sample` for `end_cause`: "aperiodic" (no
+    credible period in the window starting there), "onset_jump" (the onset
+    found there is too far from the last) or "out_of_signal".
+    """
 
     periods: list[PitchPeriod] = field(default_factory=list)
     sample_rate: int = 0
-    lost: bool = False
+    end_sample: int = 0
+    end_cause: str = "out_of_signal"
 
     def __len__(self):
         return len(self.periods)
+
+    @property
+    def lost(self) -> bool:
+        """Periodicity was lost before the signal ran out."""
+        return self.end_cause != "out_of_signal"
 
     @property
     def period_lengths(self) -> np.ndarray:
@@ -89,7 +100,7 @@ def harmonic_count(period: int) -> int:
 def _local_maxima(values: np.ndarray) -> list[int]:
     """Strict local maxima: each run of equal values that the values rise
     into and fall out of, reported once at its midpoint."""
-    step = np.diff(values)
+    step = values[1:] - values[:-1]
     change = np.flatnonzero(step)
     rise = step[change] > 0
     peak = rise[:-1] & ~rise[1:]
@@ -99,13 +110,13 @@ def _local_maxima(values: np.ndarray) -> list[int]:
 def refine_period(signal: AudioBuffer, period_start: int, period: int) -> int:
     """Update a period estimate from the two largest correlation maxima.
 
-    The current period template is correlated against shifts S covering
-    [0, 2P] (extended by half a period so a maximum sitting near S = 2P
-    is still detectable as a local maximum); with maxima expected near
-    S ~ P and S ~ 2P, the refined period is the distance between the two
-    largest credible local maxima (or the location of the single one, if
-    only one exists).  Maxima whose normalized correlation falls below
-    half of the best one are not period candidates.
+    The current period template is correlated once against shifts S
+    covering [0, 2P] (extended by half a period so a maximum near S = 2P
+    is still a local maximum); with maxima expected near S ~ P and 2P, the
+    refined period is the distance between the two largest credible local
+    maxima (or the location of the single one).  A maximum is credible
+    when its correlation, normalized by the template's and its window's
+    norms (summed over the maxima's span only), reaches half the best one.
 
     Raises SegmentationLost when no local maximum exists or the best
     normalized correlation falls below `_LOST_THRESHOLD`, and ValueError
@@ -120,30 +131,23 @@ def refine_period(signal: AudioBuffer, period_start: int, period: int) -> int:
         raise ValueError("window [period_start, period_start + 2P] exceeds the signal")
     s_max = min(2 * p + p // 2 + 2, x.size - start - p)
     template = x[start : start + p]
-    shifts = range(0, s_max + 1)
-    r = cross_correlate(template, x[start:], shifts)
+    r = cross_correlate(template, x, (start, start + s_max))
     maxima = _local_maxima(r)
     if not maxima:
         raise SegmentationLost(f"no correlation maximum at sample {start}")
-    r_norm = cross_correlate(template, x[start:], maxima, normalized=True)
-    best = float(np.max(r_norm))
+    lo, hi = maxima[0], maxima[-1]
+    r_norm = normalize_correlation(r[lo : hi + 1], template, x[start + lo : start + hi + p])
+    r_norm = r_norm[np.subtract(maxima, lo)].tolist()
+    best = max(r_norm)
     if best < _LOST_THRESHOLD:
         raise SegmentationLost(
             f"best normalized correlation {best:.3f} below {_LOST_THRESHOLD} at sample {start}"
         )
     credible = [m for m, v in zip(maxima, r_norm) if v >= max(_LOST_THRESHOLD, 0.5 * best)]
     top = sorted(sorted(credible, key=lambda s: r[s], reverse=True)[:2])
-    if len(top) == 2:
-        s1, s2 = top
-        updated = int(round(s2 - s1))
-        if abs((s2 - s1) - s1) > max(2, 0.05 * max(s2 - s1, 1)):
-            log.info(
-                "correlation maxima at S=%d and S=%d imply inconsistent periods "
-                "(S2-S1=%d vs S1=%d); using S2-S1",
-                s1, s2, s2 - s1, s1,
-            )
-    else:
-        updated = int(top[0])
+    updated = top[1] - top[0] if len(top) == 2 else top[0]
+    if len(top) == 2 and abs(updated - top[0]) > max(2, 0.05 * updated):
+        log.info("maxima at S=%d and S=%d imply inconsistent periods; using S2-S1=%d", *top, updated)
     if updated < 5:
         raise SegmentationLost(f"refined period collapsed to {updated} samples")
     return updated
@@ -162,7 +166,9 @@ def align_onset(
     shift whose P-point DFT satisfies angle(X[1]) ~ -pi/2; ties break
     toward the smallest |S|.  X[1] at every candidate start is the
     correlation of the signal with cos(2 pi n / P) minus 1j times its
-    correlation with sin(2 pi n / P).  Returns (shift, aligned_start).
+    correlation with sin(2 pi n / P), both read over the one lag range
+    [start + lo, start + hi].  Returns (shift, aligned_start); raises
+    ValueError when that range is empty or exceeds the signal.
     """
     x = signal.samples
     p = int(period)
@@ -170,12 +176,10 @@ def align_onset(
     if p < 5:
         raise ValueError(f"period must be at least 5 samples, got {p}")
     lo, hi = (-(p // 2), p // 2) if search is None else search
-    if start + lo < 0 or start + hi + p > x.size:
-        raise ValueError("onset search window exceeds the signal")
-    shifts = np.arange(lo, hi + 1)
     cycle = 2 * np.pi * np.arange(p) / p
-    starts = start + shifts
+    starts = (start + lo, start + hi)
     bin1 = cross_correlate(np.cos(cycle), x, starts) - 1j * cross_correlate(np.sin(cycle), x, starts)
+    shifts = np.arange(lo, hi + 1)
     err = np.angle(bin1) + np.pi / 2
     residual = np.abs((err + np.pi) % (2 * np.pi) - np.pi)
     pick = np.lexsort((np.abs(shifts), residual))[0]
@@ -230,7 +234,7 @@ def auto_seed(signal: AudioBuffer) -> SeedRegion:
     if lag_max <= lag_min or window.size < 3 * lag_min:
         raise SegmentationLost("signal too short for automatic seeding")
     seg = window[: window.size - lag_max]
-    r = cross_correlate(seg, window, np.arange(lag_min, lag_max + 1))
+    r = cross_correlate(seg, window, (lag_min, lag_max))
     e0 = np.dot(seg, seg)
     if e0 <= 0 or np.max(r) < 0.3 * e0:
         raise SegmentationLost("no periodicity found for automatic seeding")
@@ -247,12 +251,13 @@ def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
     advances by one period.  Every emitted period runs exactly from its
     aligned onset to the next one, so the track is contiguous by
     construction.  When periodicity is lost, the track collected so far
-    is returned with its `lost` flag set.
+    is returned with its `lost` flag set; either way the track records
+    where and why it ended, and one INFO record says so.
     """
     x = signal.samples
-    track = PeriodTrack(sample_rate=signal.sample_rate)
     if seed.end_sample > x.size:
         raise ValueError("seed region exceeds the signal")
+    periods = []
     est = seed.period
     cursor = seed.start_sample
     prev_onset = None
@@ -261,22 +266,25 @@ def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
         try:
             est = refine_period(signal, cursor, est)
         except SegmentationLost:
-            track.lost = True
+            cause = "aperiodic"
             break
         except ValueError:
-            break  # ran out of signal
+            cause = "out_of_signal"
+            break
         lo = max(-(est // 2), -cursor)
         hi = min(est // 2, x.size - cursor - est)
         _, onset = align_onset(signal, cursor, est, search=(lo, hi))
         if prev_onset is not None:
             emitted = onset - prev_onset
             if emitted < 5 or abs(emitted - est) > max(2, 0.2 * est):
-                track.lost = True
+                cause, cursor = "onset_jump", onset
                 break
-            track.periods.append(extract_period_params(signal, prev_onset, emitted))
+            periods.append(extract_period_params(signal, prev_onset, emitted))
         prev_onset = onset
         cursor = onset + est
 
-    if not track.lost and prev_onset is not None and prev_onset + est <= x.size:
-        track.periods.append(extract_period_params(signal, prev_onset, est))
-    return track
+    # the last onset's period ends at the cursor, which align_onset kept inside the signal
+    if cause == "out_of_signal" and prev_onset is not None:
+        periods.append(extract_period_params(signal, prev_onset, est))
+    log.info("track ended at sample %d (%s) after %d periods", cursor, cause, len(periods))
+    return PeriodTrack(periods, signal.sample_rate, end_sample=cursor, end_cause=cause)

@@ -451,7 +451,7 @@ def _aligned_correlation(a: np.ndarray, b: np.ndarray, max_lag: int):
     if seg <= 16:
         return 0.0, 0
     corr = cross_correlate(
-        a[max_lag : max_lag + seg], b[: seg + 2 * max_lag], np.arange(2 * max_lag + 1), normalized=True
+        a[max_lag : max_lag + seg], b[: seg + 2 * max_lag], (0, 2 * max_lag), normalized=True
     )
     best = int(np.argmax(corr))
     return float(corr[best]), best - max_lag

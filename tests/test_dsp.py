@@ -16,6 +16,7 @@ from voicing.dsp import (
     pole_radii,
     sine_window_spectrum,
     stabilize_all_pole,
+    window_norms,
 )
 
 
@@ -186,7 +187,8 @@ class TestCrossCorrelate:
         rng = np.random.default_rng(31)
         signal = rng.standard_normal(400)
         template = signal[17:80].copy()
-        r = cross_correlate(template, signal, range(0, 300))
+        r = cross_correlate(template, signal, (0, 299))
+        assert r.size == 300
         assert np.argmax(r) == 17
 
     def test_periodic_maxima_near_multiples(self):
@@ -196,7 +198,7 @@ class TestCrossCorrelate:
         n = np.arange(6 * p)
         signal = np.sin(2 * np.pi * n / p) + 0.4 * np.sin(4 * np.pi * n / p + 0.9)
         template = signal[:p]
-        r = cross_correlate(template, signal, range(0, 3 * p))
+        r = cross_correlate(template, signal, (0, 3 * p - 1))
         interior = np.flatnonzero((r[1:-1] > r[:-2]) & (r[1:-1] > r[2:])) + 1
         assert any(abs(s - p) <= 1 for s in interior)
         assert any(abs(s - 2 * p) <= 1 for s in interior)
@@ -205,44 +207,79 @@ class TestCrossCorrelate:
         n = np.arange(128)
         a = np.sin(2 * np.pi * 4 * n / 128)
         b = np.sin(2 * np.pi * 8 * n / 128)
-        r = cross_correlate(a, np.concatenate([b, b]), [0])
+        r = cross_correlate(a, np.concatenate([b, b]), (0, 0))
         assert abs(r[0]) < 1e-9 * 128
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_correlate(np.ones(10), np.ones(20), range(0, 15))
-        with pytest.raises(ValueError):
-            cross_correlate(np.ones(10), np.ones(20), [-1])
+        for lags in [(0, 11), (-1, 5), (3, 2)]:  # past the end, before the start, empty
+            with pytest.raises(ValueError):
+                cross_correlate(np.ones(10), np.ones(20), lags)
 
     def test_normalized_bounds(self):
         rng = np.random.default_rng(37)
         signal = rng.standard_normal(500)
         template = signal[100:200].copy()
-        r = cross_correlate(template, signal, range(0, 400), normalized=True)
+        r = cross_correlate(template, signal, (0, 399), normalized=True)
         assert np.max(r) <= 1.0 + 1e-12
         assert r[100] == pytest.approx(1.0, abs=1e-12)
-        # scattered, unsorted and repeated shifts read the contiguous values
-        raw = cross_correlate(template, signal, range(0, 400))
-        shifts = [399, 3, 250, 100, 3, 17, 399, 251]
-        np.testing.assert_allclose(cross_correlate(template, signal, shifts), raw[shifts], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            cross_correlate(template, signal, shifts, normalized=True), r[shifts], rtol=0, atol=1e-15
-        )
+        # any sub-range, down to a single lag, reads the full range's values
+        raw = cross_correlate(template, signal, (0, 399))
+        for first, last in [(3, 3), (100, 100), (17, 251), (250, 399), (0, 399)]:
+            np.testing.assert_allclose(
+                cross_correlate(template, signal, (first, last)), raw[first : last + 1], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                cross_correlate(template, signal, (first, last), normalized=True),
+                r[first : last + 1],
+                rtol=0,
+                atol=1e-15,
+            )
 
     def test_normalized_reads_only_the_shifted_windows(self):
-        # samples outside [min(shifts), max(shifts) + template length) take
-        # no part in the result, not even in the window norms
+        # samples outside [first, last + template length) take no part in
+        # the result, not even in the window norms
         rng = np.random.default_rng(41)
         signal = rng.standard_normal(500)
         template = signal[100:200].copy()
-        shifts = [150, 90, 220]
-        clean = cross_correlate(template, signal, shifts, normalized=True)
+        lags = (90, 220)
+        clean = cross_correlate(template, signal, lags, normalized=True)
         poisoned = signal.copy()
         poisoned[:90] = np.nan
         poisoned[320:] = np.nan
-        r = cross_correlate(template, poisoned, shifts, normalized=True)
+        r = cross_correlate(template, poisoned, lags, normalized=True)
         assert np.all(np.isfinite(r)) and np.all(r != 0.0)
         np.testing.assert_allclose(r, clean, rtol=1e-12, atol=0)
+
+    def test_silent_windows_read_zero(self):
+        signal = np.concatenate([np.zeros(50), np.ones(50)])
+        r = cross_correlate(np.ones(10), signal, (0, 90), normalized=True)
+        np.testing.assert_array_equal(r[:41], 0.0)
+        np.testing.assert_allclose(r[50:], 1.0, rtol=0, atol=1e-12)
+
+
+class TestWindowNorms:
+    @pytest.mark.parametrize("length", [5, 50, 110, 367])
+    def test_matches_linalg_norm_of_each_window(self, length):
+        # period-long windows of a tone, from the shortest period tracked
+        # to a 60 Hz one
+        n = np.arange(2000)
+        f = 1.0 / (length + 0.3)
+        signal = np.sin(2 * np.pi * f * n) + 0.5 * np.sin(4 * np.pi * f * n + 1.0)
+        windows = np.lib.stride_tricks.sliding_window_view(signal, length)
+        np.testing.assert_allclose(window_norms(signal, length), np.linalg.norm(windows, axis=1), rtol=1e-12, atol=0)
+
+    def test_error_bounded_by_the_running_sum(self):
+        # the norms are differences of one running sum of squares, so each
+        # squared norm is exact to n * eps of the signal's energy, not of
+        # its own: short noise windows, and windows 40 dB quieter than a
+        # loud stretch before them, read worse than 1e-12 relative
+        rng = np.random.default_rng(43)
+        noise = rng.standard_normal(600)
+        for signal in (noise, np.concatenate([100.0 * noise[:300], noise[300:]])):
+            bound = signal.size * np.finfo(float).eps * np.sum(signal**2)
+            for length in (2, 7, 100, 300):
+                exact = np.linalg.norm(np.lib.stride_tricks.sliding_window_view(signal, length), axis=1)
+                np.testing.assert_allclose(window_norms(signal, length) ** 2, exact**2, rtol=0, atol=bound)
 
 
 class TestAllPoleFilter:

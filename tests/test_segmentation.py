@@ -1,5 +1,7 @@
 """Tests for phase-based pitch-period segmentation."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from voicing.analysis import wrap_cycles
 from voicing.dsp import AudioBuffer
 from voicing.segmentation import (
-    PeriodTrack,
+    _LOST_THRESHOLD,
     SeedRegion,
     SegmentationLost,
     _local_maxima,
@@ -49,6 +51,80 @@ def loop_local_maxima(values):
         else:
             i += 1
     return out
+
+
+def reference_segment_track(signal, seed):
+    """`segment_track` as it stood with two correlations per refinement and
+    an onset search over an array of starts: a raw correlation over
+    [0, s_max], a second one at its maxima normalized by window norms from a
+    running sum over the maxima's span, and the onset's cos and sin
+    correlations at every candidate start.  Returns (periods, lost): the
+    reference one correlation per refinement must reproduce exactly."""
+    x = signal.samples
+
+    def correlate(template, starts):
+        # the old `cross_correlate(template, x, starts)`: one correlation
+        # over [min(starts), max(starts) + P], read at each start
+        starts = np.asarray(starts)
+        lo, hi = int(starts.min()), int(starts.max())
+        return np.correlate(x[lo : hi + template.size], template, mode="valid")[starts - lo]
+
+    def refine(start, p):
+        if start + 2 * p > x.size:
+            raise ValueError("window exceeds the signal")
+        s_max = min(2 * p + p // 2 + 2, x.size - start - p)
+        template = x[start : start + p]
+        r = correlate(template, start + np.arange(s_max + 1))
+        maxima = loop_local_maxima(r)
+        if not maxima:
+            raise SegmentationLost("no maximum")
+        at = np.array(maxima)
+        lo, hi = int(at.min()), int(at.max())
+        span = x[start + lo : start + hi + p]
+        sq = np.concatenate([[0.0], np.cumsum(span**2)])
+        denom = np.linalg.norm(template) * np.sqrt(sq[at - lo + p] - sq[at - lo])
+        raw = correlate(template, start + at)
+        r_norm = np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), 0.0)
+        best = float(np.max(r_norm))
+        if best < _LOST_THRESHOLD:
+            raise SegmentationLost("lost")
+        credible = [m for m, v in zip(maxima, r_norm) if v >= max(_LOST_THRESHOLD, 0.5 * best)]
+        top = sorted(sorted(credible, key=lambda s: r[s], reverse=True)[:2])
+        updated = top[1] - top[0] if len(top) == 2 else top[0]
+        if updated < 5:
+            raise SegmentationLost("collapsed")
+        return updated
+
+    def align(start, p, lo, hi):
+        shifts = np.arange(lo, hi + 1)
+        cycle = 2 * np.pi * np.arange(p) / p
+        bin1 = correlate(np.cos(cycle), start + shifts) - 1j * correlate(np.sin(cycle), start + shifts)
+        err = np.angle(bin1) + np.pi / 2
+        residual = np.abs((err + np.pi) % (2 * np.pi) - np.pi)
+        return start + int(shifts[np.lexsort((np.abs(shifts), residual))[0]])
+
+    periods, lost = [], False
+    est, cursor, prev_onset = seed.period, seed.start_sample, None
+    while True:
+        try:
+            est = refine(cursor, est)
+        except SegmentationLost:
+            lost = True
+            break
+        except ValueError:
+            break
+        onset = align(cursor, est, max(-(est // 2), -cursor), min(est // 2, x.size - cursor - est))
+        if prev_onset is not None:
+            emitted = onset - prev_onset
+            if emitted < 5 or abs(emitted - est) > max(2, 0.2 * est):
+                lost = True
+                break
+            periods.append(extract_period_params(signal, prev_onset, emitted))
+        prev_onset = onset
+        cursor = onset + est
+    if not lost and prev_onset is not None and prev_onset + est <= x.size:
+        periods.append(extract_period_params(signal, prev_onset, est))
+    return periods, lost
 
 
 class TestHarmonicCount:
@@ -252,6 +328,7 @@ class TestSegmentTrack:
         track = segment_track(AudioBuffer(x, RATE), SeedRegion(0, 200))
         assert track.lost
         assert len(track) == 0
+        assert (track.end_sample, track.end_cause) == (0, "aperiodic")
 
     def test_noise_tail_sets_lost_flag(self):
         rng = np.random.default_rng(11)
@@ -260,6 +337,35 @@ class TestSegmentTrack:
         track = segment_track(AudioBuffer(x, RATE), SeedRegion(50, 220))
         assert track.lost
         assert len(track) >= 25
+        # lost in the tail, at most a few periods past the last one emitted
+        assert track.end_cause == "aperiodic"
+        last = track.periods[-1]
+        assert 6000 - 170 <= track.end_sample <= last.start_sample + 3 * last.length
+
+    def test_clean_tone_runs_out_of_signal(self):
+        amps = [1.0, 0.7, 0.5, 0.35]
+        x = harmonic_wave(110.0, amps, np.linspace(0, 0.9, 4), RATE, phi0=1.1)
+        track = segment_track(AudioBuffer(x, RATE), SeedRegion(400, 600))
+        assert not track.lost
+        assert track.end_cause == "out_of_signal"
+        # the last period ends where tracking stopped, too near the end for
+        # the next two-period window (this tone does not end on a period
+        # boundary; one that does ends "aperiodic", see TestHostileInputs)
+        last = track.periods[-1]
+        assert track.end_sample == last.start_sample + last.length
+        assert track.end_sample + 2 * last.length > x.size
+
+    def test_one_log_record_per_track(self, caplog):
+        rng = np.random.default_rng(12)
+        tone = harmonic_wave(140.0, [1.0, 0.5], np.zeros(2), 4000, phi0=0.7)
+        signals = [tone, np.concatenate([tone, 0.02 * rng.standard_normal(3000)]), np.full(4000, 0.3)]
+        with caplog.at_level(logging.INFO, logger="voicing.segmentation"):
+            tracks = [segment_track(AudioBuffer(x, RATE), SeedRegion(0, 158)) for x in signals]
+        ended = [r.getMessage() for r in caplog.records if r.getMessage().startswith("track ended")]
+        assert ended == [
+            f"track ended at sample {t.end_sample} ({t.end_cause}) after {len(t)} periods" for t in tracks
+        ]
+        assert [t.end_cause for t in tracks] == ["out_of_signal", "aperiodic", "aperiodic"]
 
     def test_shift_invariance_exact(self):
         amps = [1.0, 0.6, 0.4, 0.2]
@@ -300,7 +406,96 @@ class TestSegmentTrack:
         assert not track.lost
         assert len(track) >= 110
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["tone", "glide", "jitter"]),
+        f0=st.floats(60.0, 500.0),
+        lines=st.integers(1, 10),
+        noisy=st.booleans(),
+        tail=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_two_correlation_loop(self, kind, f0, lines, noisy, tail, seed):
+        # one correlation per refinement and one lag range per onset search
+        # give exactly the old loop's periods and `lost` flag on tones,
+        # glides and jittered tones, clean or with white noise 40 dB down,
+        # running to the end or into a noise tail that loses the track
+        rng = np.random.default_rng(seed)
+        n = int(0.12 * RATE)
+        if kind == "tone":
+            track_hz = np.full(n, f0)
+        elif kind == "glide":
+            track_hz = np.linspace(f0, np.clip(f0 * rng.uniform(0.8, 1.25), 60.0, 500.0), n)
+        else:
+            period = int(round(RATE / f0))
+            track_hz = np.repeat(f0 * (1.0 + 0.01 * rng.standard_normal(n // period + 1)), period)[:n]
+        lines = min(lines, int(0.45 * RATE / track_hz.max()))
+        phase = 2 * np.pi * np.cumsum(track_hz) / RATE
+        x = sum(0.8**ell * np.sin((ell + 1) * phase + rng.uniform(0, 2 * np.pi)) for ell in range(lines))
+        if noisy:
+            x += 10 ** (-40 / 20) * np.sqrt(np.mean(x**2)) * rng.standard_normal(n)
+        if tail:
+            x = np.concatenate([x, 0.05 * rng.standard_normal(n // 3)])
+        buf = AudioBuffer(x, RATE)
+        p0 = int(round(RATE / f0))
+        start = int(rng.integers(0, p0))
+        seed_region = SeedRegion(start, start + p0)
+        track = segment_track(buf, seed_region)
+        periods, lost = reference_segment_track(buf, seed_region)
+        assert track.lost == lost
+        assert len(track) == len(periods)
+        for got, want in zip(track.periods, periods):
+            assert (got.start_sample, got.length) == (want.start_sample, want.length)
+            for name in ("phases", "magnitudes", "nrd"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_auto_seed_noise_rejected(self):
         rng = np.random.default_rng(13)
         with pytest.raises(SegmentationLost):
             auto_seed(AudioBuffer(rng.standard_normal(8000), RATE))
+
+
+class TestHostileInputs:
+    """Inputs at the edges of what segmentation is given; each gives a
+    contiguous track, or the outcome its test states."""
+
+    def assert_contiguous(self, track, lengths):
+        starts = np.array([p.start_sample for p in track.periods])
+        np.testing.assert_array_equal(starts[1:], starts[:-1] + track.period_lengths[:-1])
+        assert set(track.period_lengths.tolist()) <= set(lengths)
+
+    @staticmethod
+    def covered_to(track):
+        return track.periods[-1].start_sample + track.periods[-1].length
+
+    def test_hard_clipped_470hz(self):
+        x = harmonic_wave(470.0, [1.0, 0.5, 0.3], np.zeros(3), RATE // 2)
+        limit = 0.3 * np.abs(x).max()
+        buf = AudioBuffer(np.clip(x, -limit, limit), RATE)
+        track = segment_track(buf, auto_seed(buf))
+        self.assert_contiguous(track, {46, 47})
+        # the tone ends on a period boundary, where the last window's
+        # maximum at S = P sits on its edge: tracking stops within three
+        # periods of the end (CHANGES.md, FOUND)
+        assert len(track) >= 225
+        assert self.covered_to(track) + 3 * 47 >= buf.samples.size
+
+    def test_exactly_two_seed_periods(self):
+        p = 200
+        buf = AudioBuffer(harmonic_wave(RATE / p, [1.0, 0.5, 0.3], np.zeros(3), 2 * p), RATE)
+        # auto_seed needs three lags of its longest period
+        with pytest.raises(SegmentationLost):
+            auto_seed(buf)
+        # the window [0, 2P] holds the maximum at S = P only on its edge,
+        # so no period is emitted
+        track = segment_track(buf, SeedRegion(0, p))
+        assert len(track) == 0
+        assert track.end_sample == 0
+
+    def test_16_bit_60hz(self):
+        x = np.round(harmonic_wave(60.0, [0.5, 0.25], np.zeros(2), RATE // 2) * 32767) / 32767
+        buf = AudioBuffer(x, RATE)
+        track = segment_track(buf, auto_seed(buf))
+        self.assert_contiguous(track, {367, 368})
+        assert len(track) >= 26
+        assert self.covered_to(track) + 3 * 368 >= x.size
