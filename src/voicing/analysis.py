@@ -257,62 +257,61 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
     through `scipy.optimize.leastsq` with the analytic Jacobian: the routine,
     scaling (`diag=None`), step bound (`factor=100`) and tolerances that
     `least_squares(method="lm", x_scale="jac")` reaches, without its
-    per-evaluation wrapper.  LM needs at least as many residuals as
-    parameters, so when a frame has fewer lines than parameters the residual
-    vector and the Jacobian are padded with zero rows, which leave the
-    least-squares problem unchanged.  Each residual evaluation keeps its
-    point's poles and factors, and the Jacobian reuses them when asked for
-    that same point (MINPACK asks for the point it evaluated last).  MINPACK
-    passes its own `x` buffer and overwrites it in place, so the kept point
-    is a copy, and nothing kept is a view of `params`."""
+    per-evaluation wrapper.  When a frame has fewer lines than parameters,
+    zero rows pad the residual and the Jacobian (LM needs as many residuals
+    as parameters); they leave the least-squares problem unchanged.
+
+    The residual callback evaluates its point once, residual and Jacobian
+    together, from the poles `_params_to_poles` returns.  Only upper poles
+    get rows, against the lines at e^-jw and at e^+jw (|1 - conj(p) e^-jw| =
+    |1 - p e^+jw|), plus one row at e^-jw for the real pole of an odd order.
+    With g = p e^-+jw / (1 - p e^-+jw) summed over a pair's two rows, the
+    pair's columns are Re(g) (1 - sigma) for its radius logit and -Im(g) for
+    its angle.  The factors stay complex: as 1 + r^2 - 2 r cos(theta -+ w),
+    a factor near the radius cap loses about 3 digits.  The residual callback
+    returns a copy; the Jacobian callback returns the kept Jacobian when
+    asked at the point evaluated last (compared bytewise, since MINPACK
+    overwrites its `x` in place), and evaluates afresh otherwise."""
     from scipy.optimize import leastsq
 
     order = init_poles.size
     npairs = order // 2
-    nreal = order % 2
     lines = omega_l.size
     rows = max(lines, order + 1)  # one parameter per pole, plus the log gain
     expw = np.exp(-1j * omega_l)
-    last = {}  # a copy of the point evaluated last, and its poles and factors
-
-    def log_den(params):
-        poles = _params_to_poles(params, order)
-        factors = 1.0 - poles[None, :] * expw[:, None]
-        last.update(params=params.copy(), poles=poles, factors=factors)
-        return np.log(np.maximum(np.abs(np.prod(factors, axis=1)), 1e-300))
+    # row i of `turns` meets pole `pick[i]` of `_params_to_poles`: each
+    # upper pole at e^+jw, then at e^-jw, then the real pole at e^-jw
+    pick = np.r_[0 : 2 * npairs : 2, 0:order:2]
+    turns = np.concatenate([np.tile(np.conj(expw), (npairs, 1)), np.tile(expw, (order - npairs, 1))])
+    res = np.zeros(rows)
+    jac_t = np.zeros((order + 1, rows))  # the Jacobian, transposed
+    jac_t[-1, :lines] = 1.0
+    key = None  # the bytes of the point evaluated last
 
     def residual(params):
-        out = np.zeros(rows)
-        out[:lines] = params[-1] - log_den(params) - log_target
-        return out
+        nonlocal key
+        poles = _params_to_poles(params, order)
+        z = poles[pick, None] * turns
+        factors = 1.0 - z
+        res[:lines] = params[-1] - np.log(np.maximum(np.abs(np.prod(factors, axis=0)), 1e-300)) - log_target
+        g = z / factors
+        g = g[:npairs] + g[npairs : 2 * npairs]
+        shrink = 1.0 - np.abs(poles[0 : 2 * npairs : 2]) / _POLE_RMAX  # 1 - sigma
+        np.multiply(g.real, shrink[:, None], out=jac_t[0 : 2 * npairs : 2, :lines])
+        np.negative(g.imag, out=jac_t[1 : 2 * npairs : 2, :lines])
+        if order % 2:
+            dq_dv = _POLE_RMAX * (1.0 - np.tanh(params[2 * npairs]) ** 2)
+            jac_t[-2, :lines] = np.real(turns[-1] / factors[-1]) * dq_dv
+        key = params.tobytes()
+        return res.copy()
 
     def jacobian(params):
-        if not np.array_equal(last["params"], params):
-            log_den(params)
-        poles, factors = last["poles"], last["factors"]
-        f_all = -expw[:, None] / factors  # d log(1 - p e^-jw) / dp
-        jac = np.zeros((rows, params.size))
-        if npairs:
-            upper = poles[0 : 2 * npairs : 2]
-            sig = np.abs(upper) / _POLE_RMAX
-            f_up = f_all[:, 0 : 2 * npairs : 2]
-            f_dn = f_all[:, 1 : 2 * npairs : 2]
-            dp_du = upper * (1.0 - sig)
-            jac[:lines, 0 : 2 * npairs : 2] = -np.real(
-                f_up * dp_du[None, :] + f_dn * np.conj(dp_du)[None, :]
-            )
-            jac[:lines, 1 : 2 * npairs : 2] = -np.real(
-                f_up * (1j * upper)[None, :] + f_dn * (-1j * np.conj(upper))[None, :]
-            )
-        if nreal:
-            v = params[2 * npairs]
-            dq_dv = _POLE_RMAX * (1.0 - np.tanh(v) ** 2)
-            jac[:lines, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
-        jac[:lines, -1] = 1.0
-        return jac
+        if params.tobytes() != key:
+            residual(params)
+        return jac_t.T
 
     start = _poles_to_params(init_poles)
-    start[-1] = np.mean(log_target + log_den(start))
+    start[-1] = -np.mean(residual(start)[:lines])  # from the residual at log gain 0
     # leastsq also forms the covariance of the fit, which is discarded here;
     # from a singular Jacobian that product overflows and makes NaNs
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,8 @@
 """Tests for NRD algebra, LPC envelope fitting, pitch estimation, and the
 frame-based parametric front-end."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -15,6 +17,7 @@ from voicing.analysis import (
     _params_to_poles,
     _poles_to_params,
     _refine_peak,
+    _refine_pole_fit,
     _solve_harmonics,
     analyze_frames,
     average_nrd,
@@ -124,6 +127,70 @@ def capture_solves(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "leastsq", recording)
     return calls
+
+
+def reference_fit_closures(order, omega_l, log_target):
+    """`_refine_pole_fit`'s residual and Jacobian as two passes over every
+    pole's factor, conjugates included: the reference its fused evaluation
+    must reproduce to rounding."""
+    npairs = order // 2
+    nreal = order % 2
+    lines = omega_l.size
+    rows = max(lines, order + 1)  # one parameter per pole, plus the log gain
+    expw = np.exp(-1j * omega_l)
+    last = {}  # a copy of the point evaluated last, and its poles and factors
+
+    def log_den(params):
+        poles = _params_to_poles(params, order)
+        factors = 1.0 - poles[None, :] * expw[:, None]
+        last.update(params=params.copy(), poles=poles, factors=factors)
+        return np.log(np.maximum(np.abs(np.prod(factors, axis=1)), 1e-300))
+
+    def residual(params):
+        out = np.zeros(rows)
+        out[:lines] = params[-1] - log_den(params) - log_target
+        return out
+
+    def jacobian(params):
+        if not np.array_equal(last.get("params"), params):
+            log_den(params)
+        poles, factors = last["poles"], last["factors"]
+        f_all = -expw[:, None] / factors  # d log(1 - p e^-jw) / dp
+        jac = np.zeros((rows, params.size))
+        if npairs:
+            upper = poles[0 : 2 * npairs : 2]
+            sig = np.abs(upper) / _POLE_RMAX
+            f_up = f_all[:, 0 : 2 * npairs : 2]
+            f_dn = f_all[:, 1 : 2 * npairs : 2]
+            dp_du = upper * (1.0 - sig)
+            jac[:lines, 0 : 2 * npairs : 2] = -np.real(
+                f_up * dp_du[None, :] + f_dn * np.conj(dp_du)[None, :]
+            )
+            jac[:lines, 1 : 2 * npairs : 2] = -np.real(
+                f_up * (1j * upper)[None, :] + f_dn * (-1j * np.conj(upper))[None, :]
+            )
+        if nreal:
+            v = params[2 * npairs]
+            dq_dv = _POLE_RMAX * (1.0 - np.tanh(v) ** 2)
+            jac[:lines, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
+        jac[:lines, -1] = 1.0
+        return jac
+
+    return residual, jacobian
+
+
+def fit_closures(order, omega_l, log_target, params):
+    """`_refine_pole_fit`'s own residual and Jacobian for these lines, taken
+    from a `leastsq` stub that returns the start; `params` is the start."""
+    got = []
+
+    def stub(func, x0, *, Dfun=None, **kwargs):
+        got.append((func, Dfun))
+        return x0, None, {"nfev": 1, "fvec": func(x0)}, "", 1
+
+    with mock.patch.object(scipy.optimize, "leastsq", stub):
+        _refine_pole_fit(_params_to_poles(params, order), omega_l, log_target, max_nfev=1)
+    return got[0]
 
 
 class TestNrdAlgebra:
@@ -338,7 +405,9 @@ class TestLpcEnvelope:
         np.testing.assert_array_equal(jac[lines:], 0.0)
         np.testing.assert_array_equal(residual(x)[lines:], 0.0)
 
-    @pytest.mark.parametrize("f0, order, lines", [(140.0, 9, 40), (140.0, 10, 40), (230.0, 10, 6)])
+    @pytest.mark.parametrize(
+        "f0, order, lines", [(140.0, 9, 40), (140.0, 10, 40), (230.0, 10, 6), (80.0, 17, 100)]
+    )
     def test_fit_is_least_squares_lm(self, monkeypatch, f0, order, lines):
         # the model is bitwise the one that least_squares' LM method returns
         # from the same closures, start and budget: one MINPACK routine,
@@ -347,12 +416,16 @@ class TestLpcEnvelope:
         # one point: fits that use up their budget or stall with saturated
         # parameters can end at different points on identical input, in
         # least_squares as in leastsq
-        formants = [(700, 110), (1220, 120), (2600, 160), (3300, 200), (4200, 250)][: order // 2]
-        radii = [np.exp(-np.pi * bw / RATE) for _, bw in formants]
+        formants = [
+            (700, 110), (1220, 120), (2600, 160), (3300, 200), (4200, 250), (5200, 300), (6400, 350), (7600, 400)
+        ]  # fmt: skip
+        radii = [np.exp(-np.pi * bw / RATE) for _, bw in formants[: order // 2]]
         upper = [r * np.exp(2j * np.pi * fc / RATE) for r, (fc, _) in zip(radii, formants)]
         truth = LpcModel(upper + [np.conj(p) for p in upper] + [0.9] * (order % 2), 1.0)
         omega0 = 2 * np.pi * f0 / RATE
-        mags = truth.magnitude(np.arange(1, lines + 1) * omega0)
+        omega_l = np.arange(1, lines + 1) * omega0
+        mags = truth.magnitude(omega_l)
+        lm = scipy.optimize.leastsq
         calls = capture_solves(monkeypatch)
         fit = fit_lpc_envelope(mags, omega0, order)
         residual, jacobian, x0, _, kwargs, (x, _, info, _, ier) = calls[0]
@@ -372,6 +445,54 @@ class TestLpcEnvelope:
         np.testing.assert_array_equal(ref.x, x)
         np.testing.assert_array_equal(_params_to_poles(ref.x, order), fit.poles)
         assert float(np.exp(ref.x[-1])) == fit.gain
+        # MINPACK fed the two-pass reference closures from the same start
+        # stops after as many evaluations, on the same test, at lines within
+        # 1e-6 dB: the fused evaluation takes the reference's path
+        log_target = np.log(np.maximum(mags, mags.max() * 1e-5))  # fit_lpc_envelope's -100 dB guard
+        ref_residual, ref_jacobian = reference_fit_closures(order, omega_l, log_target)
+        ref_x, _, ref_info, _, ref_ier = lm(ref_residual, x0, Dfun=ref_jacobian, **kwargs)
+        assert (ref_info["nfev"], ref_ier) == (info["nfev"], ier)
+        fits = [LpcModel(_params_to_poles(p, order), np.exp(p[-1])) for p in (x, ref_x)]
+        assert np.abs(20 * np.log10(fits[0].magnitude(omega_l) / fits[1].magnitude(omega_l))).max() <= 1e-6
+
+    @settings(max_examples=60)
+    @given(data=st.data(), order=st.integers(1, 18), lines=st.integers(1, 130))
+    # the shapes of analysis, with more parameters than lines in the second
+    @example(data=None, order=18, lines=54)
+    @example(data=None, order=18, lines=6)
+    def test_fused_evaluation_matches_reference(self, data, order, lines):
+        # pointwise, against the two-pass closures: logits out to the
+        # radius cap, angles at 0, at pi and on a line, and zero padding
+        if data is None:  # an example's point: radii near the cap, angles on lines
+            omega0 = np.pi / (lines + 1)
+            log_target = -0.1 * np.arange(lines)
+            pairs = [(30.0 - 7 * k, (k + 1) * omega0) for k in range(order // 2)]
+            real = [5.0] * (order % 2)
+        else:
+            omega0 = data.draw(st.floats(1e-3, np.pi / (lines + 1)))
+            log_target = np.array(data.draw(st.lists(st.floats(-12.0, 3.0), min_size=lines, max_size=lines)))
+            logit = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-30.0, 30.0, 45.0]))
+            angle = st.one_of(
+                st.floats(-np.pi, np.pi),
+                st.sampled_from([0.0, np.pi]),
+                st.integers(1, lines).map(lambda ell: ell * omega0),
+            )
+            pairs = data.draw(st.lists(st.tuples(logit, angle), min_size=order // 2, max_size=order // 2))
+            real = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=order % 2, max_size=order % 2))
+        x = np.array([v for pair in pairs for v in pair] + real + [0.7])
+        omega_l = (np.arange(lines) + 1) * omega0
+        residual, jacobian = fit_closures(order, omega_l, log_target, x)
+        ref_residual, ref_jacobian = reference_fit_closures(order, omega_l, log_target)
+        fresh = np.array(jacobian(x.copy()))  # the last point evaluated is the start
+        r = residual(x)
+        jac = jacobian(x)  # kept from the residual's evaluation
+        np.testing.assert_array_equal(jac, fresh)
+        ref_r, ref_jac = ref_residual(x), ref_jacobian(x)
+        assert r.shape == ref_r.shape and jac.shape == ref_jac.shape == (max(lines, order + 1), order + 1)
+        assert np.abs(r - ref_r).max() <= 1e-12 * np.abs(ref_r).max()
+        assert np.abs(jac - ref_jac).max() <= 1e-12 * np.abs(ref_jac).max()
+        np.testing.assert_array_equal(r[lines:], 0.0)
+        np.testing.assert_array_equal(jac[lines:], 0.0)
 
     def test_one_solver_for_every_shape(self, monkeypatch):
         # 6 lines at order 12: more parameters than lines
