@@ -392,8 +392,14 @@ def interpolate_params(left: FrameParams, right: FrameParams, t: float):
     """
     if not (left.voiced and right.voiced):
         raise ValueError("both frames must be voiced")
+    return interpolate_lines(left, right, harmonic_amplitudes(left), harmonic_amplitudes(right), t)
+
+
+def interpolate_lines(left: FrameParams, right: FrameParams, la, ra, t: float):
+    """`interpolate_params` with each side's amplitudes already evaluated:
+    `la` and `ra` are `harmonic_amplitudes` of `left` and `right`.  At
+    t = 1 it returns `ra` itself."""
     t = min(max(float(t), 0.0), 1.0)
-    la, ra = harmonic_amplitudes(left), harmonic_amplitudes(right)
     if t == 1.0:
         return right.omega0, ra, right.nrd.copy()
     omega0 = left.omega0 + t * (right.omega0 - left.omega0)
@@ -602,7 +608,8 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     """Frame-based ODFT measurement of the harmonic lines.
 
     Splits the signal into `frame_len`-sample frames at 50% overlap,
-    windows each with the square-root shifted Hanning window, and for
+    windows each with the square-root shifted Hanning window, transforms
+    them all in one `odft` call, and for
     every voiced frame estimates f0 from that frame alone
     (`estimate_pitch_frame`), then the per-harmonic magnitudes and phases
     at that f0 (solved jointly across harmonics) and the NRD vector.
@@ -627,8 +634,8 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     quant_floor = _quantisation_floor(w)
 
     frames = []
-    for m, off in enumerate(range(0, x.size - n + 1, hop)):
-        spec = odft(x[off : off + n] * w)
+    spectra = odft(np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * w)
+    for m, spec in enumerate(spectra):
         f0 = estimate_pitch_frame(spec, rate)
         if f0 is None:
             frames.append(FrameParams(frame_index=m, voiced=False))

@@ -8,6 +8,9 @@ import numpy as np
 from scipy.signal import sosfilt
 
 
+_CANCELLED = 1e-6  # squared window norm, relative to the running sum at its end, summed again
+
+
 class UnstableFilterError(ValueError):
     """All-pole model or filter has poles on or outside the unit circle."""
 
@@ -74,25 +77,28 @@ def odft(x: np.ndarray) -> np.ndarray:
 
     X[k] = sum_n x[n] exp(-2j pi (k + 0.5) n / N).  For real input,
     X[N-1-k] = conj(X[k]): the lower half of the spectrum carries all
-    information and no bin is self-conjugate.
+    information and no bin is self-conjugate.  Works along the last axis,
+    so a stack of frames transforms in one call, each row as it would
+    alone.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    n = x.shape[-1]
     if n < 2 or n % 2 != 0:
         raise ValueError(f"odft length must be even and >= 2, got {n}")
     pre = np.exp(-1j * np.pi * np.arange(n) / n)
-    return np.fft.fft(x * pre)
+    return np.fft.fft(x * pre, axis=-1)
 
 
 def inverse_odft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`odft`.  Returns a complex array; real inputs to
-    the forward transform reconstruct with negligible imaginary part."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    n = spectrum.size
+    """Inverse of :func:`odft`, along the last axis.  Returns a complex
+    array; real inputs to the forward transform reconstruct with
+    negligible imaginary part."""
+    spectrum = np.atleast_1d(np.asarray(spectrum, dtype=np.complex128))
+    n = spectrum.shape[-1]
     if n < 2 or n % 2 != 0:
         raise ValueError(f"inverse_odft length must be even and >= 2, got {n}")
     post = np.exp(1j * np.pi * np.arange(n) / n)
-    return np.fft.ifft(spectrum) * post
+    return np.fft.ifft(spectrum, axis=-1) * post
 
 
 def _sine_ratio(theta: np.ndarray, count: int) -> np.ndarray:
@@ -134,9 +140,20 @@ def sine_window_spectrum(n: int, nu) -> np.ndarray:
 
 def window_norms(signal, length: int) -> np.ndarray:
     """|signal[k : k + length]| for k = 0 .. signal.size - length, from one
-    running sum of squares over `signal`."""
+    running sum of squares over `signal`.  A window whose squared norm is
+    under `_CANCELLED` of the sum at its end (a quiet stretch after a loud
+    one) would keep little more than the sum's rounding error, so each run
+    of such windows is summed again from the run's own start."""
     sq = np.concatenate([[0.0], np.cumsum(signal**2)])
-    return np.sqrt(sq[length:] - sq[:-length])
+    energy = sq[length:] - sq[:-length]
+    # each difference carries an absolute error of about sqrt(length) * eps
+    # times the running sum at the window's end, which is at most the whole
+    # sum: the quietest window alone tells whether any has lost its digits
+    if energy.min(initial=np.inf) < _CANCELLED * sq[-1]:
+        lost = energy < _CANCELLED * sq[length:]
+        for first, stop in np.flatnonzero(np.diff(np.r_[False, lost, False])).reshape(-1, 2):
+            energy[first:stop] = window_norms(signal[first : stop - 1 + length], length) ** 2
+    return np.sqrt(energy)
 
 
 def normalize_correlation(raw, template, span) -> np.ndarray:

@@ -13,6 +13,12 @@ Three engines consume the same per-frame parameter stream:
   vocal-tract response, built in closed form from the command divided by
   the pulse's line magnitudes, and overlap-added.  No explicit harmonic
   phase model is consumed.
+
+What depends only on the plan is done once per plan, not per period or
+frame: each voiced frame's amplitudes are evaluated once (`_ParamTrack`),
+FRE injects and inverts all its frames as one stack, TIM and GLO reuse
+the last period's wave or response while its command repeats, and the
+LF constants are solved once per pulse shape (`_LF_CACHE`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import FrameParams, harmonic_amplitudes, interpolate_params, measure_frames
+from .analysis import FrameParams, harmonic_amplitudes, interpolate_lines, measure_frames
 from .dsp import (
     AudioBuffer,
     cross_correlate,
@@ -116,6 +122,11 @@ class _ParamTrack:
     Frame m's parameters are anchored at its center (m*hop + N/2); between
     anchors the engines see linearly interpolated values, clamped at the
     ends, mirroring how parameters are updated at frame boundaries.
+
+    Each voiced frame's amplitudes are evaluated once, by
+    `harmonic_amplitudes`, and kept read-only in `amps`: `at` interpolates
+    from them through `interpolate_lines`, the helper `interpolate_params`
+    calls, and may hand one out as it is.
     """
 
     def __init__(self, plan: SynthesisPlan):
@@ -123,6 +134,9 @@ class _ParamTrack:
         if not voiced:
             raise ValueError("plan has no voiced frames")
         self.frames = voiced
+        self.amps = [harmonic_amplitudes(fp) for fp in voiced]
+        for amps in self.amps:
+            amps.flags.writeable = False
         self.anchors = np.array(
             [fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced], dtype=np.int64
         )
@@ -131,11 +145,11 @@ class _ParamTrack:
         a = self.anchors
         if a.size == 1:
             fp = self.frames[0]
-            return fp.omega0, harmonic_amplitudes(fp), fp.nrd.copy()
-        # outside the anchors t leaves [0, 1], where interpolate_params clamps
+            return fp.omega0, self.amps[0], fp.nrd.copy()
+        # outside the anchors t leaves [0, 1], where interpolate_lines clamps
         j = min(max(int(np.searchsorted(a, position, side="right")) - 1, 0), a.size - 2)
         t = (position - a[j]) / (a[j + 1] - a[j])
-        return interpolate_params(self.frames[j], self.frames[j + 1], t)
+        return interpolate_lines(self.frames[j], self.frames[j + 1], self.amps[j], self.amps[j + 1], t)
 
     def periods(self, total: int):
         """Walk [0, total) one period at a time: yields (position, period,
@@ -155,20 +169,23 @@ class _ParamTrack:
 # FRE: frequency-domain overlap-add synthesis
 # ---------------------------------------------------------------------------
 
-def _inject_harmonic(spectrum, c, omega, n, half_width):
-    """Add every harmonic's windowed images into the lower-half ODFT bins.
+def _inject_harmonic(stack, row, c, omega, half_width):
+    """Add every harmonic's windowed images into the lower-half ODFT bins
+    of its own row of `stack`, a (frames, n) spectrum array.
 
-    `c` and `omega` hold one complex amplitude and one angular frequency
-    per harmonic.  Each harmonic writes the 2 * half_width + 1 bins around
-    its peak that lie in [0, n/2); the sums run in harmonic order.
+    `row`, `c` and `omega` hold one row index, one complex amplitude and
+    one angular frequency per harmonic.  Each harmonic writes the
+    2 * half_width + 1 bins around its peak that lie in [0, n/2); each bin
+    sums its contributions in the order the harmonics are given.
     """
+    n = stack.shape[-1]
     k_center = np.round(omega * n / TWO_PI - 0.5).astype(np.int64)
     k = k_center[:, None] + np.arange(-half_width, half_width + 1)
     nu = TWO_PI * (k + 0.5) / n
     c, omega = c[:, None], omega[:, None]
     images = c * sine_window_spectrum(n, nu - omega) + np.conj(c) * sine_window_spectrum(n, nu + omega)
     inside = (k >= 0) & (k < n // 2)
-    np.add.at(spectrum, k[inside], images[inside])
+    np.add.at(stack, (np.broadcast_to(row[:, None], k.shape)[inside], k[inside]), images[inside])
 
 
 def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
@@ -187,58 +204,64 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
     the grid's first or last frame is voiced, its parameters are held over
     one frame before frame 0 and over the frames after the last one that
     reach ``total_length``, with phi0 propagated to them.
+
+    Once per plan: each voiced frame's amplitudes are evaluated once
+    (`_ParamTrack`), held frames included; the harmonics of every rendered
+    frame go into one (frames, n) stack by one `_inject_harmonic` call,
+    and the stack is inverted by one `inverse_odft` along its rows.  Each
+    bin still sums its contributions in harmonic order, so every frame
+    comes out as it would alone.
     """
     n = plan.frame_len
     hop = plan.hop
-    w = make_sqrt_shifted_hanning(n)
-    half_width = _FRE_BINS_PER_HARMONIC // 2
-    voiced = plan.voiced_frames()
-    if not voiced:
-        raise ValueError("plan has no voiced frames")
+    track = _ParamTrack(plan)
     last_index = max(fp.frame_index for fp in plan.frames)
     tail_index = (plan.total_length - 1) // hop
 
-    renders = []  # (frame index, parameters, phi0)
-    for fp in voiced:
+    renders = []  # (frame index, parameters, amplitudes, phi0)
+    for fp, amps in zip(track.frames, track.amps):
+        if n < 3 * amps.size:
+            raise ValueError(
+                f"frame {fp.frame_index}: {amps.size} harmonics need a frame of at least "
+                f"{3 * amps.size} samples (got {n})"
+            )
+        if fp.nrd.size != amps.size:
+            raise ValueError(f"frame {fp.frame_index}: {amps.size} harmonics but {fp.nrd.size} NRD values")
         if fp.phi0 is not None:
             phi0 = float(fp.phi0)
         elif not renders:
             phi0 = 0.0
         else:
-            prev_index, prev, prev_phi0 = renders[-1]
+            prev_index, prev, _, prev_phi0 = renders[-1]
             gap = (fp.frame_index - prev_index) * hop
             phi0 = prev_phi0 + 0.5 * (prev.omega0 + fp.omega0) * gap
-        renders.append((fp.frame_index, fp, phi0))
-    first_index, first, first_phi0 = renders[0]
-    end_index, end, end_phi0 = renders[-1]
+        renders.append((fp.frame_index, fp, amps, phi0))
+    first_index, first, first_amps, first_phi0 = renders[0]
+    end_index, end, end_amps, end_phi0 = renders[-1]
     if first_index == 0:
-        renders.insert(0, (-1, first, first_phi0 - first.omega0 * hop))
+        renders.insert(0, (-1, first, first_amps, first_phi0 - first.omega0 * hop))
     if end_index == last_index:
         for k in range(end_index + 1, tail_index + 1):
-            renders.append((k, end, end_phi0 + end.omega0 * hop * (k - end_index)))
+            renders.append((k, end, end_amps, end_phi0 + end.omega0 * hop * (k - end_index)))
+
+    # every rendered frame's harmonics, frame after frame
+    indices, params, amps, phi0 = zip(*renders)
+    counts = np.array([a.size for a in amps])
+    ell1 = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    omega_l = ell1 * np.repeat(np.array([fp.omega0 for fp in params]), counts)
+    phases = TWO_PI * np.concatenate([fp.nrd for fp in params]) + ell1 * np.repeat(np.array(phi0), counts)
+    c = 0.5 * np.concatenate(amps) * np.exp(1j * (phases - np.pi / 2))
+
+    stack = np.zeros((counts.size, n), dtype=np.complex128)
+    _inject_harmonic(stack, np.repeat(np.arange(counts.size), counts), c, omega_l, _FRE_BINS_PER_HARMONIC // 2)
+    stack[:, n // 2 :] = np.conj(stack[:, : n // 2][:, ::-1])
+    frames = make_sqrt_shifted_hanning(n) * inverse_odft(stack).real
 
     # frame k is written at (k + 1) * hop: one hop of room before sample 0
     out = np.zeros((max(last_index, tail_index) + 1) * hop + n)
-
-    for index, fp, phi0 in renders:
-        amps = harmonic_amplitudes(fp)
-        count = amps.size
-        if n < 3 * count:
-            raise ValueError(
-                f"frame {fp.frame_index}: {count} harmonics need a frame of at least "
-                f"{3 * count} samples (got {n})"
-            )
-        ell1 = np.arange(1, count + 1)
-        omega_l = ell1 * fp.omega0
-        phases = TWO_PI * fp.nrd[:count] + ell1 * phi0
-        c = 0.5 * amps * np.exp(1j * (phases - np.pi / 2))
-
-        spec = np.zeros(n, dtype=np.complex128)
-        _inject_harmonic(spec, c, omega_l, n, half_width)
-        spec[n // 2 :] = np.conj(spec[: n // 2][::-1])
-        frame = inverse_odft(spec).real
+    for index, frame in zip(indices, frames):
         off = (index + 1) * hop
-        out[off : off + n] += w * frame
+        out[off : off + n] += frame
 
     return AudioBuffer(out[hop : hop + plan.total_length], plan.sample_rate)
 
@@ -264,28 +287,33 @@ def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
     cumulative offsets, and joined by circularly extending both sides of
     each junction by `_TIM_EXTENSION` samples and crossfading with a
     piecewise-linear ramp over the overlap.
+
+    One wave is kept: a period whose command (its length, amplitudes and
+    NRD) equals the last one's adds that wave again.
     """
     total = plan.total_length
     ext = _TIM_EXTENSION
     ramp = (np.arange(1, 2 * ext + 1)) / (2 * ext + 1.0)
-    periods = [
-        (position, _period_wave(period, amps, nrd))
-        for position, period, amps, nrd in _ParamTrack(plan).periods(total)
-    ]
+    periods = []  # (start, period circularly extended by ext samples on each side)
+    command = None
+    for position, period, amps, nrd in _ParamTrack(plan).periods(total):
+        same = command is not None and command[0] == period
+        if not (same and np.array_equal(command[1], amps) and np.array_equal(command[2], nrd)):
+            wave = np.take(_period_wave(period, amps, nrd), np.arange(-ext, period + ext), mode="wrap")
+            command = (period, amps, nrd)
+        periods.append((position, wave))
 
     last_start, last_wave = periods[-1]
     # out[ext + j] is output sample j; the last period ends at or past total
-    out = np.zeros(last_start + last_wave.size + 2 * ext)
-    for i, (start, x_p) in enumerate(periods):
-        p = x_p.size
-        # circularly extended by ext samples on each side, and faded at every
-        # junction but not at the plan's start or end
-        gain = np.ones(p + 2 * ext)
+    out = np.zeros(last_start + last_wave.size)
+    for i, (start, wave) in enumerate(periods):
+        # faded at every junction but not at the plan's start or end
+        gain = np.ones(wave.size)
         if i > 0:
             gain[: 2 * ext] = ramp
         if i + 1 < len(periods):
             gain[-2 * ext :] = 1.0 - ramp
-        out[start : start + p + 2 * ext] += gain * np.take(x_p, np.arange(-ext, p + ext), mode="wrap")
+        out[start : start + wave.size] += gain * wave
 
     return AudioBuffer(out[ext : ext + total], plan.sample_rate)
 
@@ -294,8 +322,14 @@ def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
 # GLO: glottal-pulse excitation filtered per period
 # ---------------------------------------------------------------------------
 
+_LF_CACHE: dict[LfParams, tuple[float, float, float]] = {}  # _lf_constants per pulse shape
+
+
 def _lf_constants(shape: LfParams):
-    """Solve the pulse constants: growth rate, return rate, and onset gain."""
+    """Solve the pulse constants: growth rate, return rate, and onset gain.
+    Each shape is solved once; its constants are kept in `_LF_CACHE`."""
+    if shape in _LF_CACHE:
+        return _LF_CACHE[shape]
     te = shape.open_quotient
     tp = shape.asymmetry * te
     ta = shape.return_quotient
@@ -331,6 +365,7 @@ def _lf_constants(shape: LfParams):
         raise ValueError(f"no flow balance for shape {shape}")
     alpha = brentq(net_area, lo, hi, xtol=1e-12, rtol=1e-15)
     e0 = -1.0 / (np.exp(alpha * te) * sin_e)
+    _LF_CACHE[shape] = alpha, eps, e0
     return alpha, eps, e0
 
 

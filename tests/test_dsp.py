@@ -282,6 +282,32 @@ class TestWindowNorms:
                 np.testing.assert_allclose(window_norms(signal, length) ** 2, exact**2, rtol=0, atol=bound)
 
 
+    @pytest.mark.parametrize("db", [60, 100, 140])
+    def test_quiet_tail_after_loud_noise(self, db):
+        # a template cut from a tail far below 20,000 samples of unit noise
+        # matches itself at 1, as a cosine similarity must; the one running
+        # sum read 0.99999992, 1.00102 and 0.0 there
+        rng = np.random.default_rng(59)
+        signal = np.concatenate([rng.standard_normal(20000), 10 ** (-db / 20) * rng.standard_normal(1000)])
+        start = 20400
+        r = cross_correlate(signal[start : start + 100], signal, (0, signal.size - 100), normalized=True)
+        assert abs(r[start] - 1.0) <= 1e-9
+        assert r.max() <= 1.0 + 1e-12  # above 1 by rounding at most
+
+    def test_norms_outside_a_quiet_run_keep_the_running_sum(self):
+        # only the windows far under the running sum are summed again
+        rng = np.random.default_rng(61)
+        signal = np.concatenate([rng.standard_normal(20000), 1e-5 * rng.standard_normal(1000), rng.standard_normal(3000)])
+        length = 100
+        sq = np.concatenate([[0.0], np.cumsum(signal**2)])
+        running = np.sqrt(sq[length:] - sq[:-length])
+        got = window_norms(signal, length)
+        quiet = slice(20000, 20901)
+        np.testing.assert_array_equal(np.delete(got, np.r_[quiet]), np.delete(running, np.r_[quiet]))
+        exact = np.linalg.norm(np.lib.stride_tricks.sliding_window_view(signal, length), axis=1)
+        np.testing.assert_allclose(got[quiet], exact[quiet], rtol=1e-12, atol=0)
+
+
 class TestAllPoleFilter:
     def test_order_zero_is_gain(self):
         x = np.arange(6, dtype=float)

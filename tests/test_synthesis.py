@@ -9,8 +9,11 @@ from scipy.signal import resample
 from voicing.analysis import (
     F0_RANGE_HZ,
     FrameParams,
+    LpcModel,
     analyze_frames,
     fit_lpc_envelope,
+    harmonic_amplitudes,
+    interpolate_params,
     measure_frames,
     wrap_cycles,
 )
@@ -89,6 +92,130 @@ def glide_plan(f_start, f_stop, duration_s=0.5, rate=RATE, frame_len=1024, order
             )
         )
     return SynthesisPlan(frames=frames, sample_rate=rate, frame_len=frame_len, total_length=total)
+
+
+def reference_synth_fre(plan):
+    """`synth_fre` as it stood with one injection and one inverse transform
+    per rendered frame, and the frame's amplitudes evaluated at every
+    render, held frames included: the reference the batched render must
+    reproduce bit for bit.  Returns the samples."""
+    n, hop = plan.frame_len, plan.hop
+    half_width = 4
+    w = make_sqrt_shifted_hanning(n)
+    last_index = max(fp.frame_index for fp in plan.frames)
+    tail_index = (plan.total_length - 1) // hop
+    renders = []  # (frame index, parameters, phi0)
+    for fp in plan.voiced_frames():
+        if fp.phi0 is not None:
+            phi0 = float(fp.phi0)
+        elif not renders:
+            phi0 = 0.0
+        else:
+            prev_index, prev, prev_phi0 = renders[-1]
+            phi0 = prev_phi0 + 0.5 * (prev.omega0 + fp.omega0) * ((fp.frame_index - prev_index) * hop)
+        renders.append((fp.frame_index, fp, phi0))
+    first_index, first, first_phi0 = renders[0]
+    end_index, end, end_phi0 = renders[-1]
+    if first_index == 0:
+        renders.insert(0, (-1, first, first_phi0 - first.omega0 * hop))
+    if end_index == last_index:
+        for k in range(end_index + 1, tail_index + 1):
+            renders.append((k, end, end_phi0 + end.omega0 * hop * (k - end_index)))
+
+    out = np.zeros((max(last_index, tail_index) + 1) * hop + n)
+    for index, fp, phi0 in renders:
+        amps = harmonic_amplitudes(fp)
+        ell1 = np.arange(1, amps.size + 1)
+        omega_l = ell1 * fp.omega0
+        phases = 2 * np.pi * fp.nrd[: amps.size] + ell1 * phi0
+        c = 0.5 * amps * np.exp(1j * (phases - np.pi / 2))
+        k = np.round(omega_l * n / (2 * np.pi) - 0.5).astype(np.int64)[:, None] + np.arange(-half_width, half_width + 1)
+        nu = 2 * np.pi * (k + 0.5) / n
+        c, omega_l = c[:, None], omega_l[:, None]
+        images = c * sine_window_spectrum(n, nu - omega_l) + np.conj(c) * sine_window_spectrum(n, nu + omega_l)
+        inside = (k >= 0) & (k < n // 2)
+        spec = np.zeros(n, dtype=np.complex128)
+        np.add.at(spec, k[inside], images[inside])
+        spec[n // 2 :] = np.conj(spec[: n // 2][::-1])
+        off = (index + 1) * hop
+        out[off : off + n] += w * inverse_odft(spec).real
+    return out[hop : hop + plan.total_length]
+
+
+def reference_synth_tim(plan):
+    """`synth_tim` as it stood: every period's parameters interpolated by
+    `interpolate_params` from the frames themselves, and every period's
+    wave built anew: the reference the render that keeps each frame's
+    amplitudes and reuses a repeated period's wave must reproduce bit for
+    bit.  Returns the samples."""
+    voiced = plan.voiced_frames()
+    anchors = np.array([fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced], dtype=np.int64)
+
+    def at(position):
+        if anchors.size == 1:
+            return voiced[0].omega0, harmonic_amplitudes(voiced[0]), voiced[0].nrd.copy()
+        j = min(max(int(np.searchsorted(anchors, position, side="right")) - 1, 0), anchors.size - 2)
+        return interpolate_params(voiced[j], voiced[j + 1], (position - anchors[j]) / (anchors[j + 1] - anchors[j]))
+
+    total, ext = plan.total_length, 4
+    ramp = np.arange(1, 2 * ext + 1) / (2 * ext + 1.0)
+    periods = []
+    position = 0
+    while position < total:
+        omega0, amps, nrd = at(position)
+        period = int(round(2 * np.pi / omega0))
+        periods.append((position, _period_wave(period, amps, nrd)))
+        position += period
+    last_start, last_wave = periods[-1]
+    out = np.zeros(last_start + last_wave.size + 2 * ext)
+    for i, (start, x_p) in enumerate(periods):
+        p = x_p.size
+        gain = np.ones(p + 2 * ext)
+        if i > 0:
+            gain[: 2 * ext] = ramp
+        if i + 1 < len(periods):
+            gain[-2 * ext :] = 1.0 - ramp
+        out[start : start + p + 2 * ext] += gain * np.take(x_p, np.arange(-ext, p + ext), mode="wrap")
+    return out[ext : ext + total]
+
+
+@st.composite
+def random_plans(draw):
+    """Plans of 1-7 frames at a frame length of 256 or 512: unvoiced gaps,
+    voiced first and last frames (which FRE holds past the grid), phi0
+    measured or None, f0 in [60, 500] Hz and amplitudes moving from frame
+    to frame or repeated, with or without the NRD, frames with and without
+    an envelope, and a length at, under or past the grid's."""
+    frame_len = draw(st.sampled_from([256, 512]))
+    count = draw(st.integers(1, 7))
+    voiced = draw(st.lists(st.booleans(), min_size=count, max_size=count).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, prev = [], None
+    for m, is_voiced in enumerate(voiced):
+        if not is_voiced:
+            frames.append(FrameParams(frame_index=m, voiced=False))
+            continue
+        step = "new" if prev is None else draw(st.sampled_from(["new", "repeat", "new nrd"]))
+        if step == "new nrd":
+            prev = dict(prev, nrd=rng.uniform(0.0, 1.0, prev["nrd"].size))
+        elif step == "new":
+            lines = int(rng.integers(1, 9))
+            envelope = None
+            if draw(st.booleans()):
+                pairs = rng.uniform(0.3, 0.95, 2) * np.exp(1j * rng.uniform(0.1, 3.0, 2))
+                envelope = LpcModel(np.concatenate([pairs, np.conj(pairs), [rng.uniform(-0.9, 0.9)]]), 1.0)
+            prev = dict(
+                omega0=2 * np.pi * 60.0 * (500.0 / 60.0) ** rng.uniform() / RATE,
+                a0=float(rng.uniform(0.1, 1.0)),
+                phi0=float(rng.uniform(-np.pi, np.pi)) if draw(st.booleans()) else None,
+                nrd=rng.uniform(0.0, 1.0, lines),
+                magnitudes=rng.uniform(0.05, 1.0, lines),
+                envelope=envelope,
+            )
+        frames.append(FrameParams(frame_index=m, voiced=True, **prev))
+    grid = (count - 1) * (frame_len // 2) + frame_len
+    total = grid + draw(st.integers(-(frame_len // 2) + 1, frame_len))
+    return SynthesisPlan(frames=frames, sample_rate=RATE, frame_len=frame_len, total_length=total)
 
 
 def harmonic_wave(f0, amps, nrd, n_samples, rate=RATE, phi0=0.0):
@@ -216,6 +343,21 @@ class TestTim:
                 expected[j] = ramp * wave[(j - start) % wave.size] + (1.0 - ramp) * prev[(j - prev_start) % prev.size]
         np.testing.assert_array_equal(synth_tim(plan).samples, expected)
 
+    def test_one_wave_per_command(self, monkeypatch):
+        # identical frames command one wave, built once and added at every period
+        import voicing.synthesis as synthesis_module
+
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _period_wave(*args)
+
+        monkeypatch.setattr(synthesis_module, "_period_wave", recording)
+        plan = stationary_plan(200.0, [1.0, 0.5, 0.25], [0.0, 0.3, 0.6], duration_s=0.2, order=4)
+        synth_tim(plan)
+        assert len(calls) == 1
+
     def test_zero_omega_rejected(self):
         plan = stationary_plan(110.0, [1.0], [0.0], duration_s=0.2, order=1)
         plan.frames[0].omega0 = -0.1
@@ -322,23 +464,36 @@ class TestFre:
         assert np.max(diff) <= 1e-3
 
     def test_injection_matches_per_harmonic_sum(self):
-        # reference: each harmonic added on its own, bins clipped to [0, n/2)
+        # reference: each harmonic added on its own into its frame's row,
+        # bins clipped to [0, n/2); one batched call fills every row
         n, half_width = 1024, 4
         rng = np.random.default_rng(11)
-        for f0 in (40.0, 61.0, 130.0, 499.0):
+        f0s = (40.0, 61.0, 130.0, 499.0)
+        want = np.zeros((len(f0s), n), dtype=np.complex128)
+        rows, cs, omegas = [], [], []
+        for i, f0 in enumerate(f0s):
             omega0 = 2 * np.pi * f0 / RATE
             count = int(np.floor(0.999 * np.pi / omega0))
             omega = np.arange(1, count + 1) * omega0
             c = rng.uniform(0.01, 1.0, count) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
-            want = np.zeros(n, dtype=np.complex128)
             for cl, wl in zip(c, omega):
                 k_center = int(round(wl * n / (2 * np.pi) - 0.5))
                 k = np.arange(max(0, k_center - half_width), min(n // 2 - 1, k_center + half_width) + 1)
                 nu = 2 * np.pi * (k + 0.5) / n
-                want[k] += cl * sine_window_spectrum(n, nu - wl) + np.conj(cl) * sine_window_spectrum(n, nu + wl)
-            got = np.zeros(n, dtype=np.complex128)
-            _inject_harmonic(got, c, omega, n, half_width)
-            np.testing.assert_array_equal(got, want)
+                want[i, k] += cl * sine_window_spectrum(n, nu - wl) + np.conj(cl) * sine_window_spectrum(n, nu + wl)
+            rows.append(np.full(count, i))
+            cs.append(c)
+            omegas.append(omega)
+        got = np.zeros((len(f0s), n), dtype=np.complex128)
+        _inject_harmonic(got, np.concatenate(rows), np.concatenate(cs), np.concatenate(omegas), half_width)
+        np.testing.assert_array_equal(got, want)
+
+    def test_frame_without_nrd_rejected(self):
+        # every line's phase is built from its NRD value
+        plan = stationary_plan(200.0, [1.0, 0.5], [0.0, 0.3], duration_s=0.1, order=2)
+        plan.frames[1].nrd = np.zeros(0)
+        with pytest.raises(ValueError, match="NRD"):
+            synth_fre(plan)
 
     def test_edges_at_full_gain(self):
         # f0 at 4 periods per hop, so every hop-long stretch of a stationary
@@ -579,6 +734,30 @@ class TestGlo:
         with pytest.raises(ValueError, match="at least 16 samples"):
             synth_glo(plan)
 
+    def test_lf_constants_solved_once_per_shape(self, monkeypatch):
+        # a glide gives GLO a new command, and a new pulse, at nearly every
+        # period; all of them share one shape, so its two roots are solved once
+        import voicing.synthesis as synthesis_module
+
+        roots = []
+        pulses = []
+        real_brentq = synthesis_module.brentq
+
+        def counting_roots(*args, **kwargs):
+            roots.append(args)
+            return real_brentq(*args, **kwargs)
+
+        def counting_pulses(*args):
+            pulses.append(args)
+            return synth_glottal_pulse(*args)
+
+        monkeypatch.setattr(synthesis_module, "brentq", counting_roots)
+        monkeypatch.setattr(synthesis_module, "synth_glottal_pulse", counting_pulses)
+        monkeypatch.setattr(synthesis_module, "_LF_CACHE", {})
+        synth_glo(glide_plan(100.0, 250.0, duration_s=0.25))
+        assert len(pulses) > 2
+        assert len(roots) == 2
+
     def test_refits_only_when_the_command_changes(self, monkeypatch):
         # frames 0-3 command A and frames 4-7 command B at one period of 200
         # samples.  Periods start at multiples of 200, and only 2200 and
@@ -631,6 +810,24 @@ def _two_command_plan():
         for m in range(8)
     ]
     return SynthesisPlan(frames=frames, sample_rate=RATE)
+
+
+class TestSameRenders:
+    @given(plan=random_plans())
+    @settings(max_examples=80, deadline=None)
+    def test_fre_and_tim_match_the_per_frame_and_per_period_loops(self, plan):
+        np.testing.assert_array_equal(synth_fre(plan).samples, reference_synth_fre(plan))
+        np.testing.assert_array_equal(synth_tim(plan).samples, reference_synth_tim(plan))
+
+    def test_kept_amplitudes_are_read_only(self):
+        # `at` hands the last frame's kept amplitudes out as they are from
+        # its anchor on (t = 1)
+        plan = glide_plan(100.0, 250.0, duration_s=0.1)
+        track = _ParamTrack(plan)
+        _, amps, _ = track.at(track.anchors[-1])
+        assert amps is track.amps[-1]
+        with pytest.raises(ValueError):
+            amps[0] = 2.0
 
 
 class TestGlide:
