@@ -359,7 +359,8 @@ class FrameParams:
 
 def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
     """Harmonic amplitudes A_l implied by a frame's a0 and envelope, one
-    per NRD entry (or per measured magnitude when the frame has no NRD).
+    per NRD entry (or per measured magnitude when the frame has no NRD,
+    which of the engines only GLO renders).
 
     The envelope is evaluated at (l+1)*omega0, all below Nyquist by
     `FrameParams`' check, and scaled so the fundamental comes out at a0.
@@ -375,48 +376,6 @@ def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
         return out
     mags = params.envelope.magnitude((np.arange(n) + 1) * params.omega0)
     return mags * (params.a0 / mags[0])
-
-
-def interpolate_params(left: FrameParams, right: FrameParams, t: float):
-    """Linear parameter interpolation between two voiced frames.
-
-    Interpolates omega0 linearly, harmonic magnitudes in the log domain
-    (derived from each side's envelope at matched harmonic indices), and
-    unwrapped NRD values linearly.  When harmonic counts differ the common
-    prefix is interpolated and the longer side's tail is carried over.
-    Every value is written as left + t * (right - left), with t clamped to
-    [0, 1], so t = 0 and identical sides give the left side bit-exactly;
-    t = 1 gives the right side as it is.
-
-    Returns (omega0, amplitudes, nrd).
-    """
-    if not (left.voiced and right.voiced):
-        raise ValueError("both frames must be voiced")
-    return interpolate_lines(left, right, harmonic_amplitudes(left), harmonic_amplitudes(right), t)
-
-
-def interpolate_lines(left: FrameParams, right: FrameParams, la, ra, t: float):
-    """`interpolate_params` with each side's amplitudes already evaluated:
-    `la` and `ra` are `harmonic_amplitudes` of `left` and `right`.  At
-    t = 1 it returns `ra` itself."""
-    t = min(max(float(t), 0.0), 1.0)
-    if t == 1.0:
-        return right.omega0, ra, right.nrd.copy()
-    omega0 = left.omega0 + t * (right.omega0 - left.omega0)
-    c = min(la.size, ra.size)
-    n = max(la.size, ra.size)
-    amps = np.zeros(n)
-    tiny = 1e-300
-    log_ratio = np.log(np.maximum(ra[:c], tiny)) - np.log(np.maximum(la[:c], tiny))
-    amps[:c] = la[:c] * np.exp(t * log_ratio)
-    longer_a = la if la.size >= ra.size else ra
-    amps[c:] = longer_a[c:]
-    nrd = np.zeros(n)
-    cn = min(left.nrd.size, right.nrd.size)
-    nrd[:cn] = left.nrd[:cn] + t * (right.nrd[:cn] - left.nrd[:cn])
-    longer_n = left.nrd if left.nrd.size >= right.nrd.size else right.nrd
-    nrd[cn : longer_n.size] = longer_n[cn:]
-    return omega0, amps, nrd
 
 
 # ---------------------------------------------------------------------------

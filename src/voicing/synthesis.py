@@ -14,6 +14,10 @@ Three engines consume the same per-frame parameter stream:
   the pulse's line magnitudes, and overlap-added.  No explicit harmonic
   phase model is consumed.
 
+The engines read the stream through `_ParamTrack`, which owns the rule
+between frame centers: omega0 and NRD linear, amplitudes log-linear, and
+the nearest frame held outside them.  TIM and GLO read it per period.
+
 What depends only on the plan is done once per plan, not per period or
 frame: each voiced frame's amplitudes are evaluated once (`_ParamTrack`),
 FRE injects and inverts all its frames as one stack, TIM and GLO reuse
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import FrameParams, harmonic_amplitudes, interpolate_lines, measure_frames
+from .analysis import FrameParams, harmonic_amplitudes, measure_frames
 from .dsp import (
     AudioBuffer,
     cross_correlate,
@@ -117,16 +121,19 @@ class SynthesisPlan:
 # ---------------------------------------------------------------------------
 
 class _ParamTrack:
-    """Interpolates frame parameters at arbitrary sample positions.
+    """Frame parameters at arbitrary sample positions.
 
-    Frame m's parameters are anchored at its center (m*hop + N/2); between
-    anchors the engines see linearly interpolated values, clamped at the
-    ends, mirroring how parameters are updated at frame boundaries.
+    Frame m is anchored at its center (m*hop + N/2).  Between two anchors
+    omega0 and the unwrapped NRD values are interpolated linearly and the
+    harmonic amplitudes in the log domain; when harmonic counts differ the
+    common prefix is interpolated and the longer side's tail carried over.
+    Every value is written as left + t * (right - left), with t clamped to
+    [0, 1]: outside the anchors the nearest frame holds, t = 0 and
+    identical sides give the left frame bit-exactly, and t = 1 gives the
+    right frame as it is.
 
-    Each voiced frame's amplitudes are evaluated once, by
-    `harmonic_amplitudes`, and kept read-only in `amps`: `at` interpolates
-    from them through `interpolate_lines`, the helper `interpolate_params`
-    calls, and may hand one out as it is.
+    Each voiced frame's `harmonic_amplitudes` are evaluated once and kept
+    read-only in `amps`; `at` may hand one out as it is.
     """
 
     def __init__(self, plan: SynthesisPlan):
@@ -141,15 +148,37 @@ class _ParamTrack:
             [fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced], dtype=np.int64
         )
 
+    def check_nrd(self):
+        """Reject a frame without NRD, for the engines that phase lines by it."""
+        for fp, amps in zip(self.frames, self.amps):
+            if fp.nrd.size != amps.size:
+                raise ValueError(f"frame {fp.frame_index}: {amps.size} harmonics but {fp.nrd.size} NRD values")
+
     def at(self, position: float):
+        """(omega0, amplitudes, nrd) at a sample position."""
         a = self.anchors
-        if a.size == 1:
-            fp = self.frames[0]
-            return fp.omega0, self.amps[0], fp.nrd.copy()
-        # outside the anchors t leaves [0, 1], where interpolate_lines clamps
-        j = min(max(int(np.searchsorted(a, position, side="right")) - 1, 0), a.size - 2)
-        t = (position - a[j]) / (a[j + 1] - a[j])
-        return interpolate_lines(self.frames[j], self.frames[j + 1], self.amps[j], self.amps[j + 1], t)
+        # the right anchor of the pair around position; a lone anchor is its own
+        j = min(max(int(np.searchsorted(a, position, side="right")), 1), a.size - 1)
+        t = 1.0 if j == 0 else min(max(float((position - a[j - 1]) / (a[j] - a[j - 1])), 0.0), 1.0)
+        right, ra = self.frames[j], self.amps[j]
+        if t == 1.0:
+            return right.omega0, ra, right.nrd.copy()
+        left, la = self.frames[j - 1], self.amps[j - 1]
+        omega0 = left.omega0 + t * (right.omega0 - left.omega0)
+        c = min(la.size, ra.size)
+        n = max(la.size, ra.size)
+        amps = np.zeros(n)
+        tiny = 1e-300
+        log_ratio = np.log(np.maximum(ra[:c], tiny)) - np.log(np.maximum(la[:c], tiny))
+        amps[:c] = la[:c] * np.exp(t * log_ratio)
+        longer_a = la if la.size >= ra.size else ra
+        amps[c:] = longer_a[c:]
+        nrd = np.zeros(n)
+        cn = min(left.nrd.size, right.nrd.size)
+        nrd[:cn] = left.nrd[:cn] + t * (right.nrd[:cn] - left.nrd[:cn])
+        longer_n = left.nrd if left.nrd.size >= right.nrd.size else right.nrd
+        nrd[cn : longer_n.size] = longer_n[cn:]
+        return omega0, amps, nrd
 
     def periods(self, total: int):
         """Walk [0, total) one period at a time: yields (position, period,
@@ -215,6 +244,7 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
     n = plan.frame_len
     hop = plan.hop
     track = _ParamTrack(plan)
+    track.check_nrd()
     last_index = max(fp.frame_index for fp in plan.frames)
     tail_index = (plan.total_length - 1) // hop
 
@@ -225,8 +255,6 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
                 f"frame {fp.frame_index}: {amps.size} harmonics need a frame of at least "
                 f"{3 * amps.size} samples (got {n})"
             )
-        if fp.nrd.size != amps.size:
-            raise ValueError(f"frame {fp.frame_index}: {amps.size} harmonics but {fp.nrd.size} NRD values")
         if fp.phi0 is not None:
             phi0 = float(fp.phi0)
         elif not renders:
@@ -296,7 +324,9 @@ def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
     ramp = (np.arange(1, 2 * ext + 1)) / (2 * ext + 1.0)
     periods = []  # (start, period circularly extended by ext samples on each side)
     command = None
-    for position, period, amps, nrd in _ParamTrack(plan).periods(total):
+    track = _ParamTrack(plan)
+    track.check_nrd()
+    for position, period, amps, nrd in track.periods(total):
         same = command is not None and command[0] == period
         if not (same and np.array_equal(command[1], amps) and np.array_equal(command[2], nrd)):
             wave = np.take(_period_wave(period, amps, nrd), np.arange(-ext, period + ext), mode="wrap")

@@ -24,7 +24,6 @@ from voicing.analysis import (
     estimate_pitch_frame,
     fit_lpc_envelope,
     harmonic_amplitudes,
-    interpolate_params,
     measure_frames,
     nrd_from_phases,
     vertical_unwrap,
@@ -603,66 +602,6 @@ class TestLpcEnvelope:
         assert np.abs(fit.poles).max() <= _POLE_RMAX
         upper = np.sort(fit.poles[fit.poles.imag > 0])
         np.testing.assert_array_equal(upper, np.sort(np.conj(fit.poles[fit.poles.imag < 0])))
-
-
-class TestInterpolateParams:
-    @staticmethod
-    def _frame(idx, f0, amps, nrd, order=6):
-        omega0 = 2 * np.pi * f0 / RATE
-        env = fit_lpc_envelope(amps, omega0, order)
-        return FrameParams(
-            frame_index=idx,
-            voiced=True,
-            omega0=omega0,
-            a0=amps[0],
-            phi0=0.1,
-            nrd=np.asarray(nrd, dtype=float),
-            magnitudes=np.asarray(amps, dtype=float),
-            envelope=env,
-        )
-
-    def test_endpoints_exact(self):
-        left = self._frame(0, 110, [1.0, 0.5, 0.25, 0.1], [0.0, 0.1, 0.2, 0.3])
-        right = self._frame(1, 120, [0.8, 0.6, 0.3, 0.2], [0.0, 0.2, 0.1, 0.4])
-        w0, amps, nrd = interpolate_params(left, right, 0.0)
-        assert w0 == left.omega0
-        np.testing.assert_array_equal(nrd, left.nrd)
-        np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
-        w1, amps1, nrd1 = interpolate_params(left, right, 1.0)
-        assert w1 == right.omega0
-        np.testing.assert_array_equal(nrd1, right.nrd)
-        np.testing.assert_array_equal(amps1, harmonic_amplitudes(right))
-
-    def test_identical_sides_exact(self):
-        left = self._frame(0, 110, [1.0, 0.5, 0.25, 0.1], [0.0, 0.1, 0.2, 0.3])
-        right = FrameParams(
-            frame_index=1,
-            voiced=True,
-            omega0=left.omega0,
-            a0=left.a0,
-            nrd=left.nrd.copy(),
-            magnitudes=left.magnitudes.copy(),
-            envelope=left.envelope,
-        )
-        for t in (0.0, 0.3, 0.7, 0.999):
-            w, amps, nrd = interpolate_params(left, right, t)
-            assert w == left.omega0
-            np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
-            np.testing.assert_array_equal(nrd, left.nrd)
-
-    def test_midpoint_omega(self):
-        left = self._frame(0, 110, [1.0, 0.5], [0.0, 0.1], order=2)
-        right = self._frame(1, 120, [1.0, 0.5], [0.0, 0.1], order=2)
-        left.omega0, right.omega0 = 0.030, 0.034
-        w0, _, _ = interpolate_params(left, right, 0.5)
-        assert w0 == pytest.approx(0.032, abs=1e-15)
-
-    def test_count_mismatch_common_prefix(self):
-        left = self._frame(0, 110, [1.0, 0.5, 0.25], [0.0, 0.1, 0.2])
-        right = self._frame(1, 110, [1.0, 0.5, 0.25, 0.125, 0.06], [0.0, 0.1, 0.2, 0.3, 0.4])
-        _, amps, nrd = interpolate_params(left, right, 0.5)
-        assert amps.size == 5 and nrd.size == 5
-        np.testing.assert_allclose(nrd[3:], right.nrd[3:])
 
 
 class TestHarmonicAmplitudes:

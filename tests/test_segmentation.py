@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voicing.analysis import wrap_cycles
+from voicing.analysis import average_nrd, wrap_cycles
 from voicing.dsp import AudioBuffer
 from voicing.segmentation import (
     _LOST_THRESHOLD,
@@ -448,6 +448,18 @@ class TestSegmentTrack:
             assert (got.start_sample, got.length) == (want.start_sample, want.length)
             for name in ("phases", "magnitudes", "nrd"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_average_nrd_of_a_track(self):
+        # a PeriodTrack averages the NRD vectors of its periods
+        x = harmonic_wave(147.0, [1.0, 0.5, 0.3], [0.0, 0.2, 0.7], RATE // 4, phi0=0.4)
+        track = segment_track(AudioBuffer(x, RATE), SeedRegion(100, 250))
+        assert len(track) >= 10
+        np.testing.assert_array_equal(average_nrd(track), average_nrd([p.nrd for p in track.periods]))
+
+    def test_auto_seed_too_short_rejected(self):
+        # 100 samples hold fewer than three lags of the shortest period searched
+        with pytest.raises(SegmentationLost, match="too short"):
+            auto_seed(AudioBuffer(harmonic_wave(300.0, [1.0, 0.5], np.zeros(2), 100), RATE))
 
     def test_auto_seed_noise_rejected(self):
         rng = np.random.default_rng(13)

@@ -13,7 +13,6 @@ from voicing.analysis import (
     analyze_frames,
     fit_lpc_envelope,
     harmonic_amplitudes,
-    interpolate_params,
     measure_frames,
     wrap_cycles,
 )
@@ -143,19 +142,36 @@ def reference_synth_fre(plan):
 
 
 def reference_synth_tim(plan):
-    """`synth_tim` as it stood: every period's parameters interpolated by
-    `interpolate_params` from the frames themselves, and every period's
-    wave built anew: the reference the render that keeps each frame's
-    amplitudes and reuses a repeated period's wave must reproduce bit for
-    bit.  Returns the samples."""
+    """`synth_tim` as it stood: every period's parameters interpolated
+    from the frames themselves, each side's amplitudes evaluated anew by
+    `harmonic_amplitudes`, and every period's wave built anew: the
+    reference the render that keeps each frame's amplitudes and reuses a
+    repeated period's wave must reproduce bit for bit.  The interpolation
+    is its own copy of the rule `_ParamTrack` owns.  Returns the samples."""
     voiced = plan.voiced_frames()
     anchors = np.array([fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced], dtype=np.int64)
+
+    def interpolate(left, right, t):
+        t = min(max(float(t), 0.0), 1.0)
+        if t == 1.0:
+            return right.omega0, harmonic_amplitudes(right), right.nrd.copy()
+        la, ra = harmonic_amplitudes(left), harmonic_amplitudes(right)
+        c, n = min(la.size, ra.size), max(la.size, ra.size)
+        amps = np.zeros(n)
+        amps[:c] = la[:c] * np.exp(t * (np.log(np.maximum(ra[:c], 1e-300)) - np.log(np.maximum(la[:c], 1e-300))))
+        amps[c:] = (la if la.size >= ra.size else ra)[c:]
+        nrd = np.zeros(n)
+        cn = min(left.nrd.size, right.nrd.size)
+        nrd[:cn] = left.nrd[:cn] + t * (right.nrd[:cn] - left.nrd[:cn])
+        longer = left.nrd if left.nrd.size >= right.nrd.size else right.nrd
+        nrd[cn : longer.size] = longer[cn:]
+        return left.omega0 + t * (right.omega0 - left.omega0), amps, nrd
 
     def at(position):
         if anchors.size == 1:
             return voiced[0].omega0, harmonic_amplitudes(voiced[0]), voiced[0].nrd.copy()
         j = min(max(int(np.searchsorted(anchors, position, side="right")) - 1, 0), anchors.size - 2)
-        return interpolate_params(voiced[j], voiced[j + 1], (position - anchors[j]) / (anchors[j + 1] - anchors[j]))
+        return interpolate(voiced[j], voiced[j + 1], (position - anchors[j]) / (anchors[j + 1] - anchors[j]))
 
     total, ext = plan.total_length, 4
     ramp = np.arange(1, 2 * ext + 1) / (2 * ext + 1.0)
@@ -492,8 +508,13 @@ class TestFre:
         # every line's phase is built from its NRD value
         plan = stationary_plan(200.0, [1.0, 0.5], [0.0, 0.3], duration_s=0.1, order=2)
         plan.frames[1].nrd = np.zeros(0)
-        with pytest.raises(ValueError, match="NRD"):
-            synth_fre(plan)
+        for engine in (synth_fre, synth_tim):
+            with pytest.raises(ValueError, match="NRD"):
+                engine(plan)
+        # GLO reads no NRD
+        out = synth_glo(plan).samples
+        assert out.size == plan.total_length
+        assert np.all(np.isfinite(out))
 
     def test_edges_at_full_gain(self):
         # f0 at 4 periods per hop, so every hop-long stretch of a stationary
@@ -830,6 +851,98 @@ class TestSameRenders:
             amps[0] = 2.0
 
 
+class TestParamTrack:
+    """`_ParamTrack.at` on two-frame plans: frame 0 anchored at sample 512,
+    frame 1 at 1024, so position 512 + 512 t reads the pair at t."""
+
+    @staticmethod
+    def _frame(idx, f0, amps, nrd, order=6):
+        omega0 = 2 * np.pi * f0 / RATE
+        return FrameParams(
+            frame_index=idx,
+            voiced=True,
+            omega0=omega0,
+            a0=amps[0],
+            phi0=0.1,
+            nrd=np.asarray(nrd, dtype=float),
+            magnitudes=np.asarray(amps, dtype=float),
+            envelope=fit_lpc_envelope(amps, omega0, order),
+        )
+
+    @staticmethod
+    def _track(*frames):
+        return _ParamTrack(SynthesisPlan(frames=list(frames), sample_rate=RATE, frame_len=1024))
+
+    def test_endpoints_exact(self):
+        left = self._frame(0, 110, [1.0, 0.5, 0.25, 0.1], [0.0, 0.1, 0.2, 0.3])
+        right = self._frame(1, 120, [0.8, 0.6, 0.3, 0.2], [0.0, 0.2, 0.1, 0.4])
+        track = self._track(left, right)
+        w0, amps, nrd = track.at(512)
+        assert w0 == left.omega0
+        np.testing.assert_array_equal(nrd, left.nrd)
+        np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
+        w1, amps1, nrd1 = track.at(1024)
+        assert w1 == right.omega0
+        np.testing.assert_array_equal(nrd1, right.nrd)
+        np.testing.assert_array_equal(amps1, harmonic_amplitudes(right))
+
+    def test_identical_sides_exact(self):
+        left = self._frame(0, 110, [1.0, 0.5, 0.25, 0.1], [0.0, 0.1, 0.2, 0.3])
+        right = FrameParams(
+            frame_index=1,
+            voiced=True,
+            omega0=left.omega0,
+            a0=left.a0,
+            nrd=left.nrd.copy(),
+            magnitudes=left.magnitudes.copy(),
+            envelope=left.envelope,
+        )
+        track = self._track(left, right)
+        for t in (0.0, 0.3, 0.7, 0.999):
+            w, amps, nrd = track.at(512 + 512 * t)
+            assert w == left.omega0
+            np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
+            np.testing.assert_array_equal(nrd, left.nrd)
+
+    def test_midpoint_omega(self):
+        left = self._frame(0, 110, [1.0, 0.5], [0.0, 0.1], order=2)
+        right = self._frame(1, 120, [1.0, 0.5], [0.0, 0.1], order=2)
+        left.omega0, right.omega0 = 0.030, 0.034
+        w0, _, _ = self._track(left, right).at(768)
+        assert w0 == pytest.approx(0.032, abs=1e-15)
+
+    def test_count_mismatch_common_prefix(self):
+        left = self._frame(0, 110, [1.0, 0.5, 0.25], [0.0, 0.1, 0.2])
+        right = self._frame(1, 110, [1.0, 0.5, 0.25, 0.125, 0.06], [0.0, 0.1, 0.2, 0.3, 0.4])
+        _, amps, nrd = self._track(left, right).at(768)
+        assert amps.size == 5 and nrd.size == 5
+        np.testing.assert_allclose(nrd[:3], 0.5 * (left.nrd + right.nrd[:3]))
+        np.testing.assert_array_equal(nrd[3:], right.nrd[3:])
+        np.testing.assert_array_equal(amps[3:], harmonic_amplitudes(right)[3:])
+
+    def test_clamped_outside_the_anchors(self):
+        left = self._frame(0, 110, [1.0, 0.5, 0.25], [0.0, 0.1, 0.2])
+        right = self._frame(1, 130, [0.7, 0.4, 0.3], [0.0, 0.3, 0.5])
+        track = self._track(left, right)
+        for position in (0, 511.5):
+            w, amps, nrd = track.at(position)
+            assert w == left.omega0
+            np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
+            np.testing.assert_array_equal(nrd, left.nrd)
+        for position in (1024.5, 5000):
+            w, amps, nrd = track.at(position)
+            assert w == right.omega0
+            np.testing.assert_array_equal(amps, harmonic_amplitudes(right))
+            np.testing.assert_array_equal(nrd, right.nrd)
+        # a lone voiced frame is read everywhere
+        alone = self._track(left, FrameParams(frame_index=1, voiced=False))
+        for position in (0, 512, 5000):
+            w, amps, nrd = alone.at(position)
+            assert w == left.omega0
+            np.testing.assert_array_equal(amps, harmonic_amplitudes(left))
+            np.testing.assert_array_equal(nrd, left.nrd)
+
+
 class TestGlide:
     def test_every_engine_renders_a_glide(self):
         # f0 from 100 to 250 Hz with 6 commanded lines: the GLO refit order
@@ -855,6 +968,16 @@ class TestPlan:
             out = engine(plan).samples
             assert out.size == plan.total_length
             assert np.all(np.isfinite(out))
+
+    def test_no_frames_rejected(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            SynthesisPlan(frames=[], sample_rate=RATE)
+
+    def test_all_unvoiced_rejected(self):
+        plan = SynthesisPlan(frames=[FrameParams(frame_index=m, voiced=False) for m in range(3)], sample_rate=RATE)
+        for engine in (synth_fre, synth_tim, synth_glo):
+            with pytest.raises(ValueError, match="no voiced frames"):
+                engine(plan)
 
     def test_empty_length_rejected(self):
         frames = stationary_plan(110.0, [1.0, 0.5], [0.0, 0.0], duration_s=0.1, order=2).frames
