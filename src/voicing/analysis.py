@@ -41,17 +41,17 @@ def wrap_cycles(values):
 
 
 def vertical_unwrap(values) -> np.ndarray:
-    """Remove integer-cycle jumps along the harmonic-index axis.
+    """Remove integer-cycle jumps along the harmonic-index (last) axis.
 
     Successive differences are adjusted by integers so that
-    |out[l+1] - out[l]| <= 0.5; out[0] equals values[0].
+    |out[..., l+1] - out[..., l]| <= 0.5; out[..., 0] equals values[..., 0].
+    A stack of vectors unwraps in one call, each row as it would alone.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size <= 1:
-        return v.copy()
     d = np.diff(v)
     d -= np.round(d)
-    return np.concatenate([[v[0]], v[0] + np.cumsum(d)])
+    first = v[..., :1]
+    return np.concatenate([first, first + np.cumsum(d, axis=-1)], axis=-1)
 
 
 def nrd_from_phases(phases) -> np.ndarray:
@@ -59,13 +59,13 @@ def nrd_from_phases(phases) -> np.ndarray:
 
     nrd[l] = ((phases[l] - (l+1) * phases[0]) / 2pi) mod 1, with nrd[0]
     identically zero, then vertically unwrapped.  The result is invariant
-    to any time shift of the underlying harmonic signal.
+    to any time shift of the underlying harmonic signal.  Works along the
+    last axis, so a stack of phase vectors converts in one call, each row
+    as it would alone.
     """
     phi = np.asarray(phases, dtype=np.float64)
-    if phi.size == 0:
-        return np.zeros(0)
-    v = wrap_cycles((phi - (np.arange(phi.size) + 1) * phi[0]) / TWO_PI)
-    v[0] = 0.0
+    v = wrap_cycles((phi - (np.arange(phi.shape[-1]) + 1) * phi[..., :1]) / TWO_PI)
+    v[..., :1] = 0.0
     return vertical_unwrap(v)
 
 
@@ -336,7 +336,14 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
 class FrameParams:
     """Per-frame parametric record: f0, fundamental magnitude/phase,
     shift-invariant harmonic phase model (NRD), and magnitude envelope
-    (None on the line records of `measure_frames`)."""
+    (None on the line records of `measure_frames`).
+
+    An analysed unvoiced frame says which gate made it so in
+    `unvoiced_reason`: "no pitch" (`estimate_pitch_frame` found none), "no
+    line above the floor" (no harmonic passed `measure_frames`' 12 dB
+    gate) or "envelope fit failed" (`analyze_frames`' fit raised).  It is
+    None on voiced frames.
+    """
 
     frame_index: int
     voiced: bool
@@ -346,6 +353,7 @@ class FrameParams:
     nrd: np.ndarray = field(default_factory=lambda: np.zeros(0))
     magnitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
     envelope: LpcModel | None = None
+    unvoiced_reason: str | None = None
 
     def __post_init__(self):
         self.nrd = np.asarray(self.nrd, dtype=np.float64)
@@ -572,8 +580,8 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     every voiced frame estimates f0 from that frame alone
     (`estimate_pitch_frame`), then the per-harmonic magnitudes and phases
     at that f0 (solved jointly across harmonics) and the NRD vector.
-    Unvoiced frames are flagged and carry no parameters.  No frame carries
-    an envelope: `analyze_frames` fits those.
+    Unvoiced frames are flagged with their reason and carry no parameters.
+    No frame carries an envelope: `analyze_frames` fits those.
 
     A frame keeps its harmonics up to the last one whose own image in its
     peak bin, |C_l W(nu_l - omega_l)| with the other lines' leakage solved
@@ -597,7 +605,7 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     for m, spec in enumerate(spectra):
         f0 = estimate_pitch_frame(spec, rate)
         if f0 is None:
-            frames.append(FrameParams(frame_index=m, voiced=False))
+            frames.append(FrameParams(frame_index=m, voiced=False, unvoiced_reason="no pitch"))
             continue
         w0 = TWO_PI * f0 / rate
         count = max(1, min(int(np.floor(0.98 * np.pi / w0)), n // 3))
@@ -614,7 +622,7 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
         # measurements; keep the contiguous run up to the last solid one
         solid = np.flatnonzero(snr_db > 12.0)
         if solid.size == 0:
-            frames.append(FrameParams(frame_index=m, voiced=False))
+            frames.append(FrameParams(frame_index=m, voiced=False, unvoiced_reason="no line above the floor"))
             continue
         count = int(solid[-1]) + 1
         amps, phases = amps[:count], phases[:count]
@@ -641,7 +649,8 @@ def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     frame's fit starts from the previous frame's model when that frame is
     voiced and its model has the same order; the first frame of a voiced
     run, and any frame whose order differs from its predecessor's, starts
-    cold.  A frame whose fit fails is marked unvoiced.
+    cold.  A frame whose fit fails is marked unvoiced, with the reason
+    "envelope fit failed".
     """
     frames = measure_frames(signal, frame_len)
     warm = None
@@ -656,6 +665,6 @@ def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
                     warm_start=warm,
                 )
             except ValueError:
-                frames[m] = FrameParams(frame_index=fr.frame_index, voiced=False)
+                frames[m] = FrameParams(frame_index=fr.frame_index, voiced=False, unvoiced_reason="envelope fit failed")
         warm = frames[m].envelope
     return frames

@@ -1,9 +1,11 @@
 """Phase-based segmentation of voiced speech into consecutive pitch periods.
 
-The tracker alternates correlation-based period refinement with a phase
-criterion that pins each period onset where the fundamental's DFT phase
-crosses -pi/2, yielding an exact partition of a voiced region and a
-per-period harmonic phase/magnitude record.
+Segmentation runs in two stages.  The walk alternates correlation-based
+period refinement with a phase criterion that pins each period onset where
+the fundamental's DFT phase crosses -pi/2, and collects only the onsets:
+an exact partition of a voiced region.  The extraction then reads every
+period's harmonic phase/magnitude record and NRD from those onsets, with
+one DFT per period length.
 """
 
 from __future__ import annotations
@@ -188,33 +190,54 @@ def align_onset(
 
 
 def extract_period_params(signal: AudioBuffer, start: int, period: int) -> PitchPeriod:
-    """Harmonic phases, magnitudes, and NRD of one aligned pitch period.
+    """Harmonic phases, magnitudes, and NRD of one aligned pitch period:
+    the one-period call of the extractor `segment_track` runs after its
+    walk (see `_extract_periods`).  Raises ValueError when the period is
+    shorter than 5 samples or its window exceeds the signal."""
+    start = int(start)
+    end = start + int(period)
+    if start < 0 or end > signal.samples.size:
+        raise ValueError("period window exceeds the signal")
+    return _extract_periods(signal, [start, end])[0]
+
+
+def _extract_periods(signal: AudioBuffer, bounds) -> list[PitchPeriod]:
+    """Harmonic records of the contiguous periods [bounds[i], bounds[i+1]).
 
     phi_l = angle(X[1+l]) + pi/2 and A_l = 2|X[1+l]|/P from the P-point
-    DFT of the period; the NRD vector subtracts the residual fundamental
-    phase, so a sub-sample onset offset does not tilt the result.
+    DFT of each period; the NRD vector subtracts the residual fundamental
+    phase, so a sub-sample onset offset does not tilt the result.  The
+    periods of each length P are stacked and transformed by one `dft`;
+    their bins, zero-padded to the longest period's harmonic count, then
+    give every period's phases, magnitudes and NRD in one pass, each row
+    as it would alone.
     """
     x = signal.samples
-    p = int(period)
-    start = int(start)
-    count = harmonic_count(p)
-    if start < 0 or start + p > x.size:
-        raise ValueError("period window exceeds the signal")
-    spec = dft(x[start : start + p])
-    bins = spec[1 : 1 + count]
+    starts = np.asarray(bounds[:-1], dtype=np.int64)
+    lengths = np.diff(np.asarray(bounds, dtype=np.int64))
+    counts = [harmonic_count(p) for p in lengths.tolist()]
+    bins = np.zeros((starts.size, max(counts, default=0)), dtype=np.complex128)
+    for p in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == p)
+        count = counts[rows[0]]
+        bins[rows, :count] = dft(x[starts[rows, None] + np.arange(p)])[:, 1 : 1 + count]
     phases = np.angle(bins) + np.pi / 2
-    magnitudes = 2.0 * np.abs(bins) / p
+    magnitudes = 2.0 * np.abs(bins) / lengths[:, None]
     nrd = nrd_from_phases(phases)
-    # harmonics at the numerical floor carry no phase information
-    nrd[magnitudes < 1e-9 * magnitudes.max()] = 0.0
-    return PitchPeriod(
-        start_sample=start,
-        length=p,
-        phases=phases,
-        nrd=nrd,
-        magnitudes=magnitudes,
-        sample_rate=signal.sample_rate,
-    )
+    # harmonics at their own period's numerical floor carry no phase
+    # information; the padding's zeros never raise that floor
+    nrd[magnitudes < 1e-9 * magnitudes.max(axis=-1, keepdims=True, initial=0.0)] = 0.0
+    return [
+        PitchPeriod(
+            start_sample=start,
+            length=p,
+            phases=phases[i, :count],
+            nrd=nrd[i, :count],
+            magnitudes=magnitudes[i, :count],
+            sample_rate=signal.sample_rate,
+        )
+        for i, (start, p, count) in enumerate(zip(starts.tolist(), lengths.tolist(), counts))
+    ]
 
 
 def auto_seed(signal: AudioBuffer) -> SeedRegion:
@@ -246,21 +269,23 @@ def auto_seed(signal: AudioBuffer) -> SeedRegion:
 def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
     """Partition a voiced region into consecutive pitch periods.
 
-    Starting from the seed, each iteration refines the period length by
-    correlation, aligns the onset by the fundamental-phase criterion, and
-    advances by one period.  Every emitted period runs exactly from its
+    Two stages.  The walk starts from the seed; each iteration refines the
+    period length by correlation, aligns the onset by the
+    fundamental-phase criterion, and advances by one period, keeping only
+    the accepted onsets.  Every emitted period runs exactly from its
     aligned onset to the next one, so the track is contiguous by
-    construction.  When periodicity is lost, the track collected so far
-    is returned with its `lost` flag set; either way the track records
-    where and why it ended, and one INFO record says so.
+    construction.  After the walk, `_extract_periods` reads every period's
+    harmonic record from those onsets at once.  When periodicity is lost,
+    the track collected so far is returned with its `lost` flag set;
+    either way the track records where and why it ended, and one INFO
+    record says so.
     """
     x = signal.samples
     if seed.end_sample > x.size:
         raise ValueError("seed region exceeds the signal")
-    periods = []
+    bounds = []  # accepted onsets: each period runs from one to the next
     est = seed.period
     cursor = seed.start_sample
-    prev_onset = None
 
     while True:
         try:
@@ -274,17 +299,17 @@ def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
         lo = max(-(est // 2), -cursor)
         hi = min(est // 2, x.size - cursor - est)
         _, onset = align_onset(signal, cursor, est, search=(lo, hi))
-        if prev_onset is not None:
-            emitted = onset - prev_onset
+        if bounds:
+            emitted = onset - bounds[-1]
             if emitted < 5 or abs(emitted - est) > max(2, 0.2 * est):
                 cause, cursor = "onset_jump", onset
                 break
-            periods.append(extract_period_params(signal, prev_onset, emitted))
-        prev_onset = onset
+        bounds.append(onset)
         cursor = onset + est
 
     # the last onset's period ends at the cursor, which align_onset kept inside the signal
-    if cause == "out_of_signal" and prev_onset is not None:
-        periods.append(extract_period_params(signal, prev_onset, est))
+    if cause == "out_of_signal" and bounds:
+        bounds.append(cursor)
+    periods = _extract_periods(signal, bounds)
     log.info("track ended at sample %d (%s) after %d periods", cursor, cause, len(periods))
     return PeriodTrack(periods, signal.sample_rate, end_sample=cursor, end_cause=cause)

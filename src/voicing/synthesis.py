@@ -538,8 +538,14 @@ def compare_engines(
     analysis finds beyond them were rendered by no command), and each
     signal's contour is also scored against the commanded one.  If either
     signal has no analyzable voiced frames the report carries diagnostics
-    instead of metrics.
+    instead of metrics.  Raises ValueError when the signals (and the plan)
+    do not share one sample rate.
     """
+    rates = {"audio_a": audio_a.sample_rate, "audio_b": audio_b.sample_rate}
+    if plan is not None:
+        rates["plan"] = plan.sample_rate
+    if len(set(rates.values())) > 1:
+        raise ValueError("sample rates differ: " + ", ".join(f"{name} {rate} Hz" for name, rate in rates.items()))
     frame_len = _COMPARE_FRAME_LEN
     frames_a = measure_frames(audio_a, frame_len)
     frames_b = measure_frames(audio_b, frame_len)

@@ -9,6 +9,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from voicing import analysis
 from voicing.analysis import (
     _POLE_RMAX,
     FrameParams,
@@ -227,6 +228,14 @@ class TestNrdAlgebra:
         shifted = phases + np.arange(1, phases.size + 1) * tau
         diff = nrd_from_phases(shifted) - nrd_from_phases(phases)
         np.testing.assert_allclose(diff - np.round(diff), 0.0, rtol=0.0, atol=1e-9)
+
+    def test_stack_matches_row_by_row(self):
+        # a stack of phase vectors converts each row as it would alone
+        rng = np.random.default_rng(24)
+        for shape in ((6, 17), (4, 1)):
+            phases = rng.uniform(-np.pi, np.pi, shape)
+            want = np.array([nrd_from_phases(row) for row in phases])
+            np.testing.assert_array_equal(nrd_from_phases(phases), want)
 
     def test_unwrap_single_correction(self):
         np.testing.assert_allclose(vertical_unwrap([0.0, 0.9, 0.8]), [0.0, -0.1, -0.2], atol=1e-12)
@@ -893,6 +902,29 @@ class TestAnalyzeFrames:
         frames = analyze_frames(AudioBuffer(x, RATE), 1024)
         assert any(f.voiced for f in frames[:6])
         assert any(not f.voiced for f in frames[-6:])
+
+    def test_unvoiced_reason_no_pitch(self):
+        frames = analyze_frames(AudioBuffer(np.zeros(5120), RATE), 1024)
+        assert [f.unvoiced_reason for f in frames] == ["no pitch"] * 9
+
+    def test_unvoiced_reason_no_line_above_the_floor(self):
+        # a 150 Hz tone far under the 16-bit rounding floor: its pitch is
+        # found in every frame, but no line passes the 12 dB gate
+        x = 1e-6 * make_harmonic_signal(150.0, [1.0, 0.5, 0.3], np.zeros(3), 5120)
+        frames = analyze_frames(AudioBuffer(x, RATE), 1024)
+        assert [f.unvoiced_reason for f in frames] == ["no line above the floor"] * 9
+        assert not any(f.voiced for f in frames)
+
+    def test_unvoiced_reason_envelope_fit_failed(self, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise ValueError("fit failed")
+
+        x = make_harmonic_signal(150.0, [1.0, 0.5, 0.3], np.zeros(3), 5120)
+        assert all(f.voiced and f.unvoiced_reason is None for f in analyze_frames(AudioBuffer(x, RATE), 1024))
+        monkeypatch.setattr(analysis, "fit_lpc_envelope", failing_fit)
+        frames = analyze_frames(AudioBuffer(x, RATE), 1024)
+        assert [f.unvoiced_reason for f in frames] == ["envelope fit failed"] * 9
+        assert not any(f.voiced for f in frames)
 
     def test_no_phantom_lines(self):
         # no line from numerical dust: a noiseless 40-line vowel on the

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voicing.analysis import average_nrd, wrap_cycles
-from voicing.dsp import AudioBuffer
+from voicing.analysis import average_nrd, nrd_from_phases, wrap_cycles
+from voicing.dsp import AudioBuffer, dft
 from voicing.segmentation import (
     _LOST_THRESHOLD,
+    PitchPeriod,
     SeedRegion,
     SegmentationLost,
+    _extract_periods,
     _local_maxima,
     align_onset,
     auto_seed,
@@ -53,13 +55,49 @@ def loop_local_maxima(values):
     return out
 
 
+def reference_extract_period_params(signal, start, period):
+    """`extract_period_params` as it stood when `segment_track` called it
+    for each period inside its walk: one P-point DFT, and the NRD floor
+    under the period's own strongest harmonic.  The reference the batched
+    extractor must reproduce exactly."""
+    x = signal.samples
+    p = int(period)
+    start = int(start)
+    count = harmonic_count(p)
+    if start < 0 or start + p > x.size:
+        raise ValueError("period window exceeds the signal")
+    spec = dft(x[start : start + p])
+    bins = spec[1 : 1 + count]
+    phases = np.angle(bins) + np.pi / 2
+    magnitudes = 2.0 * np.abs(bins) / p
+    nrd = nrd_from_phases(phases)
+    # harmonics at the numerical floor carry no phase information
+    nrd[magnitudes < 1e-9 * magnitudes.max()] = 0.0
+    return PitchPeriod(
+        start_sample=start,
+        length=p,
+        phases=phases,
+        nrd=nrd,
+        magnitudes=magnitudes,
+        sample_rate=signal.sample_rate,
+    )
+
+
+def assert_same_period(got, want):
+    assert (got.start_sample, got.length, got.sample_rate) == (want.start_sample, want.length, want.sample_rate)
+    for name in ("phases", "magnitudes", "nrd"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def reference_segment_track(signal, seed):
     """`segment_track` as it stood with two correlations per refinement and
     an onset search over an array of starts: a raw correlation over
     [0, s_max], a second one at its maxima normalized by window norms from a
     running sum over the maxima's span, and the onset's cos and sin
-    correlations at every candidate start.  Returns (periods, lost): the
-    reference one correlation per refinement must reproduce exactly."""
+    correlations at every candidate start, with each period's record
+    extracted inside the walk.  Returns (periods, lost): the reference one
+    correlation per refinement, and the extraction after the walk, must
+    reproduce exactly."""
     x = signal.samples
 
     def correlate(template, starts):
@@ -119,11 +157,11 @@ def reference_segment_track(signal, seed):
             if emitted < 5 or abs(emitted - est) > max(2, 0.2 * est):
                 lost = True
                 break
-            periods.append(extract_period_params(signal, prev_onset, emitted))
+            periods.append(reference_extract_period_params(signal, prev_onset, emitted))
         prev_onset = onset
         cursor = onset + est
     if not lost and prev_onset is not None and prev_onset + est <= x.size:
-        periods.append(extract_period_params(signal, prev_onset, est))
+        periods.append(reference_extract_period_params(signal, prev_onset, est))
     return periods, lost
 
 
@@ -266,6 +304,36 @@ class TestExtractPeriodParams:
         x = harmonic_wave(RATE / p, amps, np.zeros(3), 1200)
         period = extract_period_params(AudioBuffer(x, RATE), 0, p)
         np.testing.assert_allclose(period.magnitudes[:3], amps, atol=1e-9)
+
+    def test_window_and_length_checked(self):
+        buf = AudioBuffer(np.ones(100), RATE)
+        for start, p in ((-1, 10), (95, 10), (0, 4)):
+            with pytest.raises(ValueError):
+                extract_period_params(buf, start, p)
+
+    def test_batch_matches_one_period_at_a_time(self):
+        # periods of lengths 5, 6, 64, 64, 65 and 367 back to back: the
+        # first P = 64 period is loud with upper harmonics under 1e-9 of its
+        # own fundamental (their NRD is zeroed); its twin is 1e-5 as loud,
+        # with upper harmonics 1e-5 of its fundamental, so a floor taken
+        # over the group's or the batch's strongest harmonic would zero them
+        rng = np.random.default_rng(14)
+        loud, quiet = (
+            harmonic_wave(RATE / 64, [a] + [b] * 30, rng.uniform(0, 1, 31), 64)
+            for a, b in ((1.0, 1e-12), (1e-5, 1e-10))
+        )
+        noise = [rng.standard_normal(p) for p in (5, 6, 65, 367)]
+        pieces = noise[:2] + [loud, quiet] + noise[2:]
+        buf = AudioBuffer(np.concatenate(pieces), RATE)
+        bounds = np.concatenate([[0], np.cumsum([piece.size for piece in pieces])]).tolist()
+        batch = _extract_periods(buf, bounds)
+        assert [p.length for p in batch] == [5, 6, 64, 64, 65, 367]
+        for got, start, p in zip(batch, bounds, np.diff(bounds).tolist()):
+            want = reference_extract_period_params(buf, start, p)
+            assert_same_period(got, want)
+            assert_same_period(extract_period_params(buf, start, p), want)
+        assert np.all(batch[2].nrd[1:] == 0.0)
+        assert np.all(batch[3].nrd[1:] != 0.0)
 
 
 class TestSegmentTrack:
@@ -416,10 +484,11 @@ class TestSegmentTrack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_two_correlation_loop(self, kind, f0, lines, noisy, tail, seed):
-        # one correlation per refinement and one lag range per onset search
-        # give exactly the old loop's periods and `lost` flag on tones,
-        # glides and jittered tones, clean or with white noise 40 dB down,
-        # running to the end or into a noise tail that loses the track
+        # one correlation per refinement, one lag range per onset search and
+        # the extraction after the walk give exactly the old loop's periods
+        # and `lost` flag on tones, glides and jittered tones, clean or with
+        # white noise 40 dB down, running to the end or into a noise tail
+        # that loses the track
         rng = np.random.default_rng(seed)
         n = int(0.12 * RATE)
         if kind == "tone":
@@ -445,9 +514,7 @@ class TestSegmentTrack:
         assert track.lost == lost
         assert len(track) == len(periods)
         for got, want in zip(track.periods, periods):
-            assert (got.start_sample, got.length) == (want.start_sample, want.length)
-            for name in ("phases", "magnitudes", "nrd"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert_same_period(got, want)
 
     def test_average_nrd_of_a_track(self):
         # a PeriodTrack averages the NRD vectors of its periods

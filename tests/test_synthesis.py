@@ -1054,6 +1054,16 @@ class TestCompareEngines:
             assert lag == want_lag
             assert abs(corr - want_corr) <= 1e-12
 
+    def test_mixed_sample_rates_rejected(self):
+        amps, nrd = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12], np.zeros(6)
+        a = AudioBuffer(harmonic_wave(150.0, amps, nrd, RATE // 2), RATE)
+        b = AudioBuffer(harmonic_wave(150.0, amps, nrd, 8000, rate=16000), 16000)
+        with pytest.raises(ValueError, match="audio_a 22050 Hz, audio_b 16000 Hz"):
+            compare_engines(a, b)
+        plan = stationary_plan(150.0, amps, nrd, duration_s=0.3, rate=16000)
+        with pytest.raises(ValueError, match="audio_a 22050 Hz, audio_b 22050 Hz, plan 16000 Hz"):
+            compare_engines(a, a, plan)
+
     def test_unanalyzable_diagnostic(self):
         rng = np.random.default_rng(31)
         noise = AudioBuffer(0.1 * rng.standard_normal(RATE // 2), RATE)
