@@ -27,6 +27,8 @@ _ENVELOPE_GRID = 2048  # points over [0, pi] for the Yule-Walker start
 _ENVELOPE_FLOOR_DB = -100.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
 _ANALYSIS_LPC_ORDER = 18  # envelope order of a frame with at least nine lines
+_SOLVE_CHUNK = 1 << 15  # kernel entries (frames x lines x lines) per stacked harmonic solve
+_PITCH_CHUNK = 8  # frames per stacked pitch search, whose harmonic axis holds up to ~2,000 entries a frame
 F0_RANGE_HZ = (60.0, 500.0)  # fundamentals that pitch search and automatic seeding look for
 
 
@@ -390,9 +392,10 @@ def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
 # Pitch estimation
 # ---------------------------------------------------------------------------
 
-def _refine_peak(mags: np.ndarray, k, bin_hz: float):
+def _refine_peak(mags: np.ndarray, k, bin_hz: float, rows=Ellipsis):
     """Window-matched fractional-bin refinement of the peaks at interior
-    bins `k` (an index or an array of them).
+    bins `k` (an index or an array of them); with a stack of magnitude
+    rows, `rows` names each peak's row.
 
     Over its mainlobe the sine window's transform at d bins from a line is
     proportional to cos(pi d) / (1 - 4 d^2), so a line d in [0, 1/2] bins
@@ -403,16 +406,31 @@ def _refine_peak(mags: np.ndarray, k, bin_hz: float):
 
     Returns (frequency_hz, line_amplitude_in_peak_bin_units), each shaped
     like `k`."""
-    side = np.where(mags[k + 1] >= mags[k - 1], 1, -1)
-    rho = np.clip(mags[k + side] / mags[k], 1.0 / 3.0, 1.0)
+    side = np.where(mags[rows, k + 1] >= mags[rows, k - 1], 1, -1)
+    rho = np.clip(mags[rows, k + side] / mags[rows, k], 1.0 / 3.0, 1.0)
     d = (3.0 * rho - 1.0) / (2.0 * (rho + 1.0))
     freq = (k + 0.5 + side * d) * bin_hz
-    amp = mags[k] * (1.0 + 2.0 * d) / (0.5 * np.pi * np.sinc(0.5 - d))
+    amp = mags[rows, k] * (1.0 + 2.0 * d) / (0.5 * np.pi * np.sinc(0.5 - d))
     return freq, amp
 
 
+def _split_rows(values, row, rows):
+    """`values` cut into one array per row, given each value's `row`, in
+    order and sorted by row."""
+    return np.split(values, np.cumsum(np.bincount(row, minlength=rows))[:-1])
+
+
+def _sums_in_order(values, row, rows):
+    """Each row's sum of its (at most 16) `values` taken left to right, as
+    `np.cumsum` adds them, given each value's `row`, sorted by row."""
+    table = np.zeros((rows, 16))
+    table[row, np.arange(row.size) - np.searchsorted(row, row)] = values
+    return np.cumsum(table, axis=1)[:, -1]
+
+
 def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
-    """Fundamental frequency of one analysis frame, or None when unvoiced.
+    """Fundamental frequency of one analysis frame, or None when unvoiced:
+    the one-row call of `_pitch_frames`.
 
     Works on the ODFT of a frame windowed with the square-root shifted
     Hanning window.  Spectral peaks are refined with window-matched
@@ -423,70 +441,112 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
     Candidates lie in `F0_RANGE_HZ`; the polished f0 is accepted from half
     the range's low end to 1.5 times its high end.
     """
+    f0 = _pitch_frames(np.asarray(spectrum, dtype=np.complex128)[None], sample_rate)[0]
+    return None if np.isnan(f0) else float(f0)
+
+
+def _pitch_frames(spectra, sample_rate: float) -> np.ndarray:
+    """`estimate_pitch_frame` of each row of `spectra` (NaN for None), the
+    harmonics of every candidate of every row on one axis.  Only a row's
+    peak order (its own `np.argsort`, so that ties fall as they would
+    alone), its sorted searches, best pick and polish sums go row by row."""
     fmin, fmax = F0_RANGE_HZ
-    spec = np.asarray(spectrum, dtype=np.complex128)
-    n = spec.size
-    half = n // 2
-    mags = np.abs(spec[:half])
-    total_energy = float(np.sum(mags**2))
-    if total_energy <= 0.0:
-        return None
+    n = spectra.shape[-1]
     bin_hz = sample_rate / n
+    mags = np.abs(spectra[:, : n // 2])
+    energy = np.sum(mags**2, axis=1)
+    thresh = np.maximum(mags.max(axis=1) * 1e-3, np.median(mags, axis=1) * 6.0)
+    core = mags[:, 1:-1]
+    peaked = (core > mags[:, :-2]) & (core >= mags[:, 2:]) & (core > thresh[:, None])
+    f0 = np.full(spectra.shape[0], np.nan)
+    frames = np.flatnonzero((energy > 0.0) & peaked.any(axis=1))
+    if frames.size == 0:
+        return f0
+    mags, energy, rows = mags[frames], energy[frames], np.arange(frames.size)
+    # each row's (at most 16) strongest peaks, strongest first, refined into
+    # (rows, 16) tables of frequencies (inf past a row's last peak) and amplitudes
+    peak_row, k = np.nonzero(peaked[frames])
+    top = [p[np.argsort(m[p])[::-1][:16]] for m, p in zip(mags, _split_rows(k + 1, peak_row, frames.size))]
+    npk = np.array([p.size for p in top], dtype=int)
+    peak_row = np.repeat(rows, npk)
+    slot = np.arange(peak_row.size) - np.repeat(np.cumsum(npk) - npk, npk)
+    pfreq, pamp = np.full((frames.size, 16), np.inf), np.zeros((frames.size, 16))
+    pfreq[peak_row, slot], pamp[peak_row, slot] = _refine_peak(mags, np.concatenate(top + [slot[:0]]), bin_hz, peak_row)
 
-    interior = np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1
-    thresh = max(mags.max() * 1e-3, float(np.median(mags)) * 6.0)
-    peaks = interior[mags[interior] > thresh]
-    if peaks.size == 0:
-        return None
-    order = np.argsort(mags[peaks])[::-1][:16]
-    pfreq, pamp = _refine_peak(mags, peaks[order], bin_hz)
-
-    candidates = (pfreq[:, None] / np.arange(1, 13)).ravel()
-    candidates = np.sort(candidates[(fmin <= candidates) & (candidates <= fmax)])
-    if candidates.size == 0:
-        return None
-    # the lowest candidate, then each next one more than 0.5 % above the last kept
-    after = np.searchsorted(candidates, candidates * 1.005, side="right")
-    kept = [0]
-    while after[kept[-1]] < candidates.size:
-        kept.append(after[kept[-1]])
-
-    f_cap = min(5000.0, 0.45 * sample_rate, float(pfreq.max()) * 1.3 + bin_hz)
-    cands = candidates[kept]
-    h_max = np.maximum(1, (f_cap / cands).astype(int))
-    h = np.arange(1, int(h_max.max()) + 1)
-    # the peak nearest to every harmonic of every candidate (the first on ties)
-    dist = np.abs(pfreq[None, None, :] - h[None, :, None] * cands[:, None, None])
-    nearest = np.argmin(dist, axis=2)
-    near_dist = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
-    tol = np.maximum(0.12 * cands, bin_hz)
-    hit = (near_dist <= tol[:, None]) & (h[None, :] <= h_max[:, None])
-    # a peak explains at most one harmonic per candidate: the lowest one
-    claims = hit[:, :, None] & (nearest[:, :, None] == np.arange(pfreq.size))
-    hit &= np.take_along_axis(np.argmax(claims, axis=1), nearest, axis=1) == np.arange(h.size)
-    n_hit = hit.sum(axis=1)
-    if not n_hit.any():
-        return None
+    # candidates: a row's peak frequencies over 1..12 in range, sorted; the
+    # lowest, then each next one more than 0.5 % above the last kept
+    cand = (pfreq[:, :, None] / np.arange(1, 13)).reshape(frames.size, -1)
+    cand = np.sort(np.where((fmin <= cand) & (cand <= fmax), cand, np.inf), axis=1)
+    kept = []
+    for row_cand in cand:
+        row_cand = row_cand[: np.searchsorted(row_cand, np.inf)]
+        after = np.searchsorted(row_cand, row_cand * 1.005, side="right").tolist()
+        chain = [0] if row_cand.size else []
+        while chain and after[chain[-1]] < row_cand.size:
+            chain.append(after[chain[-1]])
+        kept.append(np.array(chain, dtype=int))
+    ncand = np.array([chain.size for chain in kept], dtype=int)
+    crow = np.repeat(rows, ncand)  # each kept candidate's row
+    cands = cand[crow, np.concatenate(kept + [crow[:0]])]
+    top_freq = np.max(pfreq, axis=1, where=pfreq < np.inf, initial=0.0)
+    f_cap = np.minimum(min(5000.0, 0.45 * sample_rate), top_freq * 1.3 + bin_hz)
+    h_max = np.maximum(1, (f_cap[crow] / cands).astype(int))
+    # every harmonic of every candidate, candidate by candidate: harmonic
+    # h[e] of candidate c[e], in row r[e]
+    c = np.repeat(np.arange(cands.size), h_max)
+    r = crow[c]
+    h = np.arange(c.size) - np.repeat(np.cumsum(h_max) - h_max - 1, h_max)
+    target = h * cands[c]
+    # the peak nearest to each (the first in amplitude order on ties): one of
+    # the two about it in frequency, since the peaks lie at least two bins apart
+    by_freq = np.argsort(pfreq, axis=1)
+    ascending = np.take_along_axis(pfreq, by_freq, axis=1)
+    above = np.concatenate([np.searchsorted(a, t) for a, t in zip(ascending, _split_rows(target, r, frames.size))])
+    above = np.minimum(above, npk[r] - 1)
+    below = np.maximum(above - 1, 0)
+    lo, hi = by_freq[r, below], by_freq[r, above]
+    d_lo, d_hi = np.abs(pfreq[r, lo] - target), np.abs(pfreq[r, hi] - target)
+    up = (d_hi < d_lo) | ((d_hi == d_lo) & (hi < lo))
+    nearest = np.where(up, hi, lo)
+    hit = np.where(up, d_hi, d_lo) <= np.maximum(0.12 * cands, bin_hz)[c]
+    # a peak explains at most one harmonic per candidate: the lowest one.  The
+    # nearest peak's frequency rank never falls along h, so with each
+    # candidate's ranks offset past the last one's, a harmonic's peak was
+    # claimed before iff it is the running maximum of the ranks hit so far
+    rank = np.where(up, above, below) + 16 * c
+    claimed = np.maximum.accumulate(np.where(hit, rank, -1))
+    hit[1:] &= claimed[:-1] != rank[1:]
+    hits = np.flatnonzero(hit)
+    hc = c[hits]
+    last = np.append(hc[1:] != hc[:-1], True)[: hc.size]
+    n_hit = np.bincount(hc, minlength=cands.size)
     # matched share of the harmonics up to the highest matched one
-    top_h = h.size - np.argmax(hit[:, ::-1], axis=1)
+    top_h = np.ones(cands.size, dtype=int)
+    top_h[hc[last]] = h[hits[last]]
     # left-to-right sums, so that near-ties resolve as a per-harmonic loop would
-    explained = np.cumsum(np.where(hit, pamp[nearest], 0.0), axis=1)[:, -1]
+    explained = _sums_in_order(pamp[r[hits], nearest[hits]], hc, cands.size)
     score = np.where(n_hit > 0, explained * (n_hit / top_h), -np.inf)
-    best = int(np.argmax(score))
-    hs = h[hit[best]].astype(np.float64)
-    fs_ = pfreq[nearest[best][hit[best]]]
-    ws = pamp[nearest[best][hit[best]]]
-    f0 = float(np.sum(ws * hs * fs_) / np.sum(ws * hs**2))
+
+    # each row's best candidate (the first of its highest scores) and the
+    # least-squares f0 over that candidate's matched harmonics
+    first = np.cumsum(ncand) - ncand
+    best = np.full(frames.size, -1)
+    for i in np.flatnonzero(np.bincount(crow, weights=n_hit, minlength=frames.size) > 0):
+        best[i] = first[i] + np.argmax(score[first[i] : first[i] + ncand[i]])
+    chosen = hits[hc == best[crow[hc]]]
+    mr, hs = r[chosen], h[chosen].astype(np.float64)
+    fs_, ws = pfreq[mr, nearest[chosen]], pamp[mr, nearest[chosen]]
+    nums, dens = _split_rows(ws * hs * fs_, mr, frames.size), _split_rows(ws * hs**2, mr, frames.size)
+    for i, num, den in zip(frames, nums, dens):
+        if num.size:
+            f0[i] = np.sum(num) / np.sum(den)
 
     # the energy of the 5 bins about each matched peak, summed left to right
     near = np.round(fs_ / bin_hz - 0.5).astype(int)[:, None] + np.arange(-2, 3)
-    inside = (near >= 0) & (near < half)
-    power = np.where(inside, mags[np.clip(near, 0, half - 1)] ** 2, 0.0)
-    matched_energy = np.cumsum(np.cumsum(power, axis=1)[:, -1])[-1]
-    if matched_energy < _VOICING_THRESHOLD * total_energy:
-        return None
-    if not fmin * 0.5 <= f0 <= fmax * 1.5:
-        return None
+    inside = (near >= 0) & (near < mags.shape[1])
+    power = np.cumsum(np.where(inside, mags[mr[:, None], np.clip(near, 0, mags.shape[1] - 1)] ** 2, 0.0), axis=1)
+    weak = _sums_in_order(power[:, -1], mr, frames.size) < _VOICING_THRESHOLD * energy
+    f0[frames[weak | ~((fmin * 0.5 <= f0[frames]) & (f0[frames] <= fmax * 1.5))]] = np.nan
     return f0
 
 
@@ -495,33 +555,56 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _image_kernels(omega_l, k_star, n):
-    """Real kernels kp[i, j], km[i, j] of line i's +/- frequency image in
-    bin k_star[j]: `sine_window_kernel` at nu_j -+ omega_i, nu_j = 2 pi
-    (k_star[j] + 1/2) / n, filled in factored form.
+    """Real kernels kp[..., i, j], km[..., i, j] of line i's +/- frequency
+    image in bin k_star[..., j]: `sine_window_kernel` at nu_j -+ omega_i,
+    nu_j = 2 pi (k_star[..., j] + 1/2) / n, filled in factored form.  The
+    lines rise and `k_star`, each line's peak bin, never falls along them.
+    A stack of line sets (leading axes of `omega_l` and `k_star`) fills in
+    one call, each as it would alone.
 
     The two Dirichlet terms of K at x = nu_j -+ omega_i have x/2 = pi m/n
     -+ omega_i/2 at the edges m = k_star[j] and k_star[j] + 1 of bin j.  So
     each numerator sin(n x/2) is (-1)**m (-+ sin(n omega_i/2)), a per-bin
     sign times a per-line sine, and each denominator sin(x/2) expands into
-    outer products of per-bin and per-line sines and cosines.  For lines in
-    (0, pi) a denominator nears zero, where the quotient loses precision,
-    only at the singular limit of a +frequency image: line i lies in bin
-    k_star[i], so only bins j with |k_star[j] - k_star[i]| <= 1 have an
-    edge within one bin of it.  Those entries are `sine_window_kernel`
-    itself, singular limit included; every other +frequency denominator has
-    |x/2| >= pi/n, and every -frequency one has x/2 in [omega_i/2, pi -
-    (pi - omega_i)/2]."""
-    b = 0.5 * omega_l[:, None]
+    outer products of per-bin and per-line sines and cosines, the same four
+    products for both images.  For lines in (0, pi) a denominator nears
+    zero, where the quotient loses precision, only at the singular limit of
+    a +frequency image: line i lies in bin k_star[i], so only bins j with
+    |k_star[j] - k_star[i]| <= 1 have an edge within one bin of it.  Those
+    entries are `sine_window_kernel` itself, singular limit included; every
+    other +frequency denominator has |x/2| >= pi/n, and every -frequency one
+    has x/2 in [omega_i/2, pi - (pi - omega_i)/2]."""
+    b = 0.5 * omega_l[..., :, None]
     sin_b, cos_b = np.sin(b), np.cos(b)
-    lo, hi = np.pi * k_star / n, np.pi * (k_star + 1) / n
+    bins = k_star[..., None, :]
+    lo, hi = np.pi * bins / n, np.pi * (bins + 1) / n
     sin_lo, cos_lo, sin_hi, cos_hi = np.sin(lo), np.cos(lo), np.sin(hi), np.cos(hi)
-    numer = np.where(k_star % 2, -0.5, 0.5) * np.sin(n * b)
+    sign, sin_nb = np.where(bins % 2, -0.5, 0.5), np.sin(n * b)
+    hc, hs, lc, ls = sin_hi * cos_b, cos_hi * sin_b, sin_lo * cos_b, cos_lo * sin_b
+    # kp = (1/(hc - hs) - 1/(lc - ls)) sign sin_nb and km = (1/(lc + ls) -
+    # 1/(hc + hs)) sign sin_nb, each reciprocal written over a product no
+    # longer needed (the sign is a power of two, so the order of the two
+    # factors does not change a bit)
     with np.errstate(divide="ignore", invalid="ignore"):  # at the singular limit, replaced below
-        kp = numer * (1.0 / (sin_hi * cos_b - cos_hi * sin_b) - 1.0 / (sin_lo * cos_b - cos_lo * sin_b))
-    km = numer * (1.0 / (sin_lo * cos_b + cos_lo * sin_b) - 1.0 / (sin_hi * cos_b + cos_hi * sin_b))
-    near = np.abs(k_star[None, :] - k_star[:, None]) <= 1
-    nu = TWO_PI * (k_star + 0.5) / n
-    kp[near] = sine_window_kernel(n, (nu[None, :] - omega_l[:, None])[near])
+        kp = np.divide(1.0, hc - hs)
+        np.divide(1.0, np.add(hc, hs, out=hc), out=hc)
+        kp -= np.divide(1.0, np.subtract(lc, ls, out=hs), out=hs)
+        kp *= sign
+        kp *= sin_nb
+    km = np.divide(1.0, np.add(lc, ls, out=lc), out=lc)
+    km -= hc
+    km *= sign
+    km *= sin_nb
+    # those entries are a band: with each line set offset by n the bins of the
+    # stack never fall, so one sorted search finds every line's run of bins
+    count = k_star.shape[-1]
+    ks = (k_star + n * np.arange(k_star.size // count).reshape(k_star.shape[:-1] + (1,))).ravel()
+    first = np.searchsorted(ks, ks - 1)
+    width = np.searchsorted(ks, ks + 1, side="right") - first
+    i = np.repeat(np.arange(ks.size), width)  # line, over the stack
+    j = np.arange(i.size) + np.repeat(first + width - np.cumsum(width), width)  # bin, over the stack
+    nu = TWO_PI * (k_star.ravel()[j] + 0.5) / n
+    kp.reshape(-1, count)[i, j % count] = sine_window_kernel(n, nu - omega_l.ravel()[i])
     return kp, km
 
 
@@ -539,27 +622,39 @@ def _solve_harmonics(spectrum, omega0, count, n):
     Returns (C, k_star, own): A_l = 2|C_l| and phi_l = angle(C_l) + pi/2,
     k_star_l is line l's peak bin, and own_l = W(nu_l - omega_l) is its
     +frequency image there.
+
+    A stack of spectra (leading axes of `spectrum`, an `omega0` each) solves
+    in one call and one `np.linalg.solve`, each frame as it would alone.
     """
     half = n // 2
     h = 0.5 * (n - 1)
-    omega_l = np.arange(1, count + 1) * omega0
+    omega_l = np.arange(1, count + 1) * np.asarray(omega0, dtype=np.float64)[..., None]
     k_star = np.clip(np.round(omega_l * n / TWO_PI - 0.5).astype(int), 0, half - 1)
     nu = TWO_PI * (k_star + 0.5) / n
-    y = spectrum[k_star] * np.exp(1j * h * nu)
+    y = np.take_along_axis(spectrum, k_star, axis=-1) * np.exp(1j * h * nu)
 
     kp, km = _image_kernels(omega_l, k_star, n)
-    d = np.linalg.solve((kp + km).T, y.real) + 1j * np.linalg.solve((kp - km).T, y.imag)
-    c = d * np.exp(-1j * h * omega_l)
-    return c, k_star, np.exp(-1j * h * (nu - omega_l)) * np.diag(kp)
+    own = np.exp(-1j * h * (nu - omega_l)) * np.diagonal(kp, axis1=-2, axis2=-1)
+    systems = np.empty((2,) + kp.shape)
+    np.add(kp, km, out=systems[0])
+    np.subtract(kp, km, out=systems[1])
+    del kp, km  # the kernels' memory is free again for the solve's copies
+    d = np.linalg.solve(np.swapaxes(systems, -1, -2), np.stack([y.real, y.imag])[..., None])[..., 0]
+    return (d[0] + 1j * d[1]) * np.exp(-1j * h * omega_l), k_star, own
 
 
-def _estimate_noise_floor(mags, k_star, half):
-    mask = np.ones(half, dtype=bool)
-    mask[np.clip(k_star[:, None] + np.arange(-2, 3), 0, half - 1)] = False  # 5 bins about each line
-    rest = mags[mask]
-    if rest.size == 0:
-        return 0.0
-    return float(np.median(rest))
+def _noise_floors(mags, k_star):
+    """`np.median` of each row of `mags` over its bins away from its lines
+    (5 bins about each of the row's `k_star`), 0 where none is left."""
+    half = mags.shape[-1]
+    rows = np.arange(len(mags))[:, None]
+    taken = np.zeros(mags.shape, dtype=bool)
+    taken[rows, np.clip(k_star[:, :, None] + np.arange(-2, 3), 0, half - 1).reshape(len(mags), -1)] = True
+    rest = np.sort(np.where(taken, np.inf, mags), axis=1)
+    left = half - np.count_nonzero(taken, axis=1)
+    # the middle one of an odd count, the mean of the middle two of an even one
+    mid = (rest[rows[:, 0], (left - 1) // 2] + rest[rows[:, 0], left // 2]) / 2
+    return np.where(left > 0, mid, 0.0)
 
 
 def _quantisation_floor(window) -> float:
@@ -576,12 +671,12 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
 
     Splits the signal into `frame_len`-sample frames at 50% overlap,
     windows each with the square-root shifted Hanning window, transforms
-    them all in one `odft` call, and for
-    every voiced frame estimates f0 from that frame alone
-    (`estimate_pitch_frame`), then the per-harmonic magnitudes and phases
-    at that f0 (solved jointly across harmonics) and the NRD vector.
-    Unvoiced frames are flagged with their reason and carry no parameters.
-    No frame carries an envelope: `analyze_frames` fits those.
+    them all in one `odft` call, and for every voiced frame estimates f0
+    from that frame alone (`estimate_pitch_frame`), then the per-harmonic
+    magnitudes and phases at that f0 (solved jointly across harmonics) and
+    the NRD vector.  Unvoiced frames are flagged with their reason and
+    carry no parameters.  No frame carries an envelope: `analyze_frames`
+    fits those.
 
     A frame keeps its harmonics up to the last one whose own image in its
     peak bin, |C_l W(nu_l - omega_l)| with the other lines' leakage solved
@@ -589,6 +684,16 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     is the median of the bins away from every harmonic, but never below
     the median bin magnitude that the rounding noise of a 16-bit source
     leaves in the frame, so a source of 16 or fewer bits is assumed.
+
+    The measurement is one stacked pass, every frame's numbers bitwise what
+    it would get alone.  The pitch search takes `_PITCH_CHUNK` frames at a
+    time (`_pitch_frames`).  The voiced frames are grouped by line count,
+    and each group is cut into chunks of at most `_SOLVE_CHUNK` kernel
+    entries (frames x lines x lines, at least one frame), which bounds the
+    pass's memory and keeps the kernels in cache: each chunk fills its
+    kernels in one broadcast, solves all its systems in one
+    `_solve_harmonics` call, and takes its noise floors, 12 dB gates and
+    NRD vectors together.
     """
     n = int(frame_len)
     hop = n // 2
@@ -600,43 +705,45 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     rate = signal.sample_rate
     quant_floor = _quantisation_floor(w)
 
-    frames = []
     spectra = odft(np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * w)
-    for m, spec in enumerate(spectra):
-        f0 = estimate_pitch_frame(spec, rate)
-        if f0 is None:
-            frames.append(FrameParams(frame_index=m, voiced=False, unvoiced_reason="no pitch"))
-            continue
-        w0 = TWO_PI * f0 / rate
-        count = max(1, min(int(np.floor(0.98 * np.pi / w0)), n // 3))
-        c, k_star, own = _solve_harmonics(spec, w0, count, n)
-        amps = 2.0 * np.abs(c)
-        phases = np.angle(c) + np.pi / 2
-        mags_abs = np.abs(spec[:half])
-        floor = max(_estimate_noise_floor(mags_abs, k_star, half), quant_floor)
-        # each line's own image in its peak bin, the other lines' leakage
-        # already solved out
-        with np.errstate(divide="ignore"):
-            snr_db = 20.0 * np.log10(np.abs(c * own) / floor)
-        # trailing harmonics at or under the frame's noise floor are not
-        # measurements; keep the contiguous run up to the last solid one
-        solid = np.flatnonzero(snr_db > 12.0)
-        if solid.size == 0:
-            frames.append(FrameParams(frame_index=m, voiced=False, unvoiced_reason="no line above the floor"))
-            continue
-        count = int(solid[-1]) + 1
-        amps, phases = amps[:count], phases[:count]
-        frames.append(
-            FrameParams(
-                frame_index=m,
-                voiced=True,
-                omega0=w0,
-                a0=float(amps[0]),
-                phi0=float(phases[0]),
-                nrd=nrd_from_phases(phases),
-                magnitudes=amps,
-            )
-        )
+    parts = np.split(spectra, range(_PITCH_CHUNK, len(spectra), _PITCH_CHUNK))
+    f0 = np.concatenate([_pitch_frames(part, rate) for part in parts])
+    frames = [FrameParams(frame_index=m, voiced=False, unvoiced_reason="no pitch") for m in range(len(spectra))]
+    voiced = np.flatnonzero(~np.isnan(f0))
+    w0 = TWO_PI * f0[voiced] / rate
+    counts = np.maximum(1, np.minimum(np.floor(0.98 * np.pi / w0).astype(int), n // 3))
+    for count in np.unique(counts):
+        group = np.flatnonzero(counts == count)
+        step = max(1, _SOLVE_CHUNK // count**2)
+        for chunk in np.split(group, range(step, group.size, step)):
+            spec = spectra[voiced[chunk]]
+            c, k_star, own = _solve_harmonics(spec, w0[chunk], count, n)
+            amps = 2.0 * np.abs(c)
+            phases = np.angle(c) + np.pi / 2
+            nrd = nrd_from_phases(phases)
+            floors = np.maximum(_noise_floors(np.abs(spec[:, :half]), k_star), quant_floor)
+            # each line's own image in its peak bin, the other lines' leakage
+            # already solved out
+            with np.errstate(divide="ignore"):
+                solid = 20.0 * np.log10(np.abs(c * own) / floors[:, None]) > 12.0
+            # trailing harmonics at or under the frame's noise floor are not
+            # measurements; keep the contiguous run up to the last solid one
+            kept = count - np.argmax(solid[:, ::-1], axis=1)
+            for row, i in enumerate(chunk):
+                m = int(voiced[i])
+                if not solid[row].any():
+                    frames[m] = FrameParams(frame_index=m, voiced=False, unvoiced_reason="no line above the floor")
+                    continue
+                k = kept[row]
+                frames[m] = FrameParams(
+                    frame_index=m,
+                    voiced=True,
+                    omega0=float(w0[i]),
+                    a0=float(amps[row, 0]),
+                    phi0=float(phases[row, 0]),
+                    nrd=nrd[row, :k],
+                    magnitudes=amps[row, :k],
+                )
     return frames
 
 

@@ -536,7 +536,9 @@ def compare_engines(
     correlation over sub-period lags.  With a plan, the magnitude metrics
     cover only the harmonics the plan commands at each frame (lines the
     analysis finds beyond them were rendered by no command), and each
-    signal's contour is also scored against the commanded one.  If either
+    signal's contour is also scored against the commanded one: each
+    measured frame against the plan's f0 at that frame's own centre, over
+    the measured frames whose nearest plan frame is voiced.  If either
     signal has no analyzable voiced frames the report carries diagnostics
     instead of metrics.  Raises ValueError when the signals (and the plan)
     do not share one sample rate.
@@ -570,15 +572,17 @@ def compare_engines(
     f0b = np.array([voiced_b[i].omega0 for i in common]) * rate / TWO_PI
     report["f0_rms_diff_hz"] = float(np.sqrt(np.mean((f0a - f0b) ** 2)))
 
+    # the plan at each measured frame's centre
+    centre = {i: i * (frame_len // 2) + frame_len // 2 for i in voiced_a.keys() | voiced_b.keys()}
     track = _ParamTrack(plan) if plan is not None else None
+    command = {i: track.at(c) for i, c in centre.items()} if track is not None else {}
     diffs = []
     for i in common:
         fa, fb = voiced_a[i], voiced_b[i]
         count = min(fa.magnitudes.size, fb.magnitudes.size)
         if track is not None:
             # only the lines the plan commands at this frame's center
-            _, commanded, _ = track.at(i * (frame_len // 2) + frame_len // 2)
-            count = min(count, commanded.size)
+            count = min(count, command[i][1].size)
         freqs = (np.arange(1, count + 1)) * fa.omega0 * rate / TWO_PI
         keep = freqs <= _COMPARE_MAGNITUDE_LIMIT_HZ
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -596,12 +600,15 @@ def compare_engines(
     report["waveform_lag_samples"] = lag
 
     if plan is not None:
-        anchors = {
-            fp.frame_index: fp.omega0 * plan.sample_rate / TWO_PI for fp in plan.voiced_frames()
-        }
+        voiced_plan = {fp.frame_index for fp in plan.voiced_frames()}
         for name, measured in (("a", voiced_a), ("b", voiced_b)):
-            shared = sorted(set(anchors) & set(measured))
-            if shared:
-                err = [anchors[i] - measured[i].omega0 * rate / TWO_PI for i in shared]
+            # each measured frame against the command at its own centre, where
+            # the plan frame nearest that centre (the later one on a tie) is voiced
+            err = [
+                command[i][0] * plan.sample_rate / TWO_PI - measured[i].omega0 * rate / TWO_PI
+                for i in sorted(measured)
+                if (centre[i] - plan.frame_len // 2 + plan.hop // 2) // plan.hop in voiced_plan
+            ]
+            if err:
                 report[f"command_f0_rms_hz_{name}"] = float(np.sqrt(np.mean(np.square(err))))
     return report

@@ -15,6 +15,7 @@ from voicing.analysis import (
     FrameParams,
     LpcModel,
     _image_kernels,
+    _noise_floors,
     _params_to_poles,
     _poles_to_params,
     _refine_peak,
@@ -110,6 +111,144 @@ def reference_pitch_frame(spectrum, sample_rate, *, fmin=60.0, fmax=500.0):
     if not fmin * 0.5 <= f0 <= fmax * 1.5:
         return None
     return f0
+
+
+def reference_image_kernels(omega_l, k_star, n):
+    """`_image_kernels` of one frame, as the per-frame measurement filled
+    them: the reference of the stacked fill."""
+    b = 0.5 * omega_l[:, None]
+    sin_b, cos_b = np.sin(b), np.cos(b)
+    lo, hi = np.pi * k_star / n, np.pi * (k_star + 1) / n
+    sin_lo, cos_lo, sin_hi, cos_hi = np.sin(lo), np.cos(lo), np.sin(hi), np.cos(hi)
+    numer = np.where(k_star % 2, -0.5, 0.5) * np.sin(n * b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the singular limit, replaced below
+        kp = numer * (1.0 / (sin_hi * cos_b - cos_hi * sin_b) - 1.0 / (sin_lo * cos_b - cos_lo * sin_b))
+    km = numer * (1.0 / (sin_lo * cos_b + cos_lo * sin_b) - 1.0 / (sin_hi * cos_b + cos_hi * sin_b))
+    near = np.abs(k_star[None, :] - k_star[:, None]) <= 1
+    nu = 2 * np.pi * (k_star + 0.5) / n
+    kp[near] = sine_window_kernel(n, (nu[None, :] - omega_l[:, None])[near])
+    return kp, km
+
+
+def reference_solve_harmonics(spectrum, omega0, count, n):
+    """`_solve_harmonics` of one frame, two `np.linalg.solve` calls."""
+    half = n // 2
+    h = 0.5 * (n - 1)
+    omega_l = np.arange(1, count + 1) * omega0
+    k_star = np.clip(np.round(omega_l * n / (2 * np.pi) - 0.5).astype(int), 0, half - 1)
+    nu = 2 * np.pi * (k_star + 0.5) / n
+    y = spectrum[k_star] * np.exp(1j * h * nu)
+
+    kp, km = reference_image_kernels(omega_l, k_star, n)
+    d = np.linalg.solve((kp + km).T, y.real) + 1j * np.linalg.solve((kp - km).T, y.imag)
+    c = d * np.exp(-1j * h * omega_l)
+    return c, k_star, np.exp(-1j * h * (nu - omega_l)) * np.diag(kp)
+
+
+def reference_noise_floor(mags, k_star, half):
+    mask = np.ones(half, dtype=bool)
+    mask[np.clip(k_star[:, None] + np.arange(-2, 3), 0, half - 1)] = False  # 5 bins about each line
+    rest = mags[mask]
+    if rest.size == 0:
+        return 0.0
+    return float(np.median(rest))
+
+
+def reference_measure_frames(signal, frame_len=1024):
+    """`measure_frames` as a per-frame loop, with `reference_pitch_frame`,
+    `reference_solve_harmonics` and `reference_noise_floor`: the reference
+    its stacked pass must reproduce bitwise."""
+    n = int(frame_len)
+    hop = n // 2
+    x = signal.samples
+    if x.size < n:
+        raise ValueError(f"signal shorter than one frame ({x.size} < {n})")
+    w = make_sqrt_shifted_hanning(n)
+    half = n // 2
+    rate = signal.sample_rate
+    quant_floor = analysis._quantisation_floor(w)
+
+    frames = []
+    spectra = odft(np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * w)
+    for m, spec in enumerate(spectra):
+        f0 = reference_pitch_frame(spec, rate)
+        if f0 is None:
+            frames.append(FrameParams(frame_index=m, voiced=False, unvoiced_reason="no pitch"))
+            continue
+        w0 = 2 * np.pi * f0 / rate
+        count = max(1, min(int(np.floor(0.98 * np.pi / w0)), n // 3))
+        c, k_star, own = reference_solve_harmonics(spec, w0, count, n)
+        amps = 2.0 * np.abs(c)
+        phases = np.angle(c) + np.pi / 2
+        mags_abs = np.abs(spec[:half])
+        floor = max(reference_noise_floor(mags_abs, k_star, half), quant_floor)
+        # each line's own image in its peak bin, the other lines' leakage
+        # already solved out
+        with np.errstate(divide="ignore"):
+            snr_db = 20.0 * np.log10(np.abs(c * own) / floor)
+        # trailing harmonics at or under the frame's noise floor are not
+        # measurements; keep the contiguous run up to the last solid one
+        solid = np.flatnonzero(snr_db > 12.0)
+        if solid.size == 0:
+            frames.append(FrameParams(frame_index=m, voiced=False, unvoiced_reason="no line above the floor"))
+            continue
+        count = int(solid[-1]) + 1
+        amps, phases = amps[:count], phases[:count]
+        frames.append(
+            FrameParams(
+                frame_index=m,
+                voiced=True,
+                omega0=w0,
+                a0=float(amps[0]),
+                phi0=float(phases[0]),
+                nrd=nrd_from_phases(phases),
+                magnitudes=amps,
+            )
+        )
+    return frames
+
+
+def assert_same_frames(got, want):
+    """Field for field the same frames: scalars equal and of one type,
+    arrays equal and of one dtype."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("frame_index", "voiced", "omega0", "a0", "phi0", "envelope", "unvoiced_reason"):
+            assert type(getattr(g, name)) is type(getattr(w, name)), name
+            assert getattr(g, name) == getattr(w, name), name
+        for name in ("nrd", "magnitudes"):
+            assert getattr(g, name).dtype == getattr(w, name).dtype, name
+            assert np.array_equal(getattr(g, name), getattr(w, name)), name
+
+
+def stepped_signal(segments, seed):
+    """Segments of (kind, f0, lines, samples) joined: "tone" is `lines`
+    harmonics at f0, "noise" white noise and "silence" digital silence,
+    all rounded to 16 bits together; "quiet" is the tone 120 dB down,
+    under the 16-bit step and left unrounded."""
+    rng = np.random.default_rng(seed)
+    loud, quiet = [], []
+    for kind, f0, lines, size in segments:
+        amps = rng.uniform(0.1, 1.0, lines) / np.arange(1, lines + 1)
+        tone = make_harmonic_signal(f0, amps, rng.uniform(0, 1, lines), size)
+        loud.append({"tone": tone, "noise": 0.1 * rng.standard_normal(size)}.get(kind, np.zeros(size)))
+        quiet.append(1e-6 * tone if kind == "quiet" else np.zeros(size))
+    x = np.concatenate(loud)
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x = np.round(x / peak * 32767) / 32767
+    return x + np.concatenate(quiet)
+
+
+def isolated_peaks(n, peaks):
+    """An n-bin spectrum, zero but for the bins in `peaks` (bin: magnitude).
+    Each such bin is a peak whose refined frequency is exactly its centre,
+    (k + 1/2) bins, so that distances between peaks and harmonics tie
+    exactly where the bins are placed to make them tie."""
+    spec = np.zeros(n, dtype=np.complex128)
+    for k, mag in peaks.items():
+        spec[k] = mag
+    return spec
 
 
 def capture_solves(monkeypatch):
@@ -753,6 +892,42 @@ class TestPitchEstimation:
             spec = odft(x[off : off + 1024] * w)
             assert estimate_pitch_frame(spec, RATE) == reference_pitch_frame(spec, RATE)
 
+    def test_refined_isolated_peak_sits_at_its_bin_centre(self):
+        bin_hz = RATE / 1024
+        freq, amp = _refine_peak(np.abs(isolated_peaks(1024, {40: 0.25}))[:512], np.array([40]), bin_hz)
+        assert freq[0] == 40.5 * bin_hz
+        assert amp[0] == pytest.approx(0.25, rel=1e-12)
+
+    def test_tie_two_peaks_equidistant_from_a_harmonic(self):
+        # the second harmonic of the 13.5-bin candidate falls at 27 bins,
+        # exactly 1.5 bins from the peaks at 25.5 and 28.5: the one first in
+        # amplitude order is its nearest, whichever side it is on
+        for pair in ({25: 0.5, 28: 0.7}, {25: 0.7, 28: 0.5}, {25: 0.6, 28: 0.6}):
+            spec = isolated_peaks(1024, {13: 1.0, 40: 0.4, 53: 0.3} | pair)
+            want = reference_pitch_frame(spec, RATE)
+            assert want is not None
+            assert estimate_pitch_frame(spec, RATE) == want
+
+    def test_tie_equal_peak_magnitudes(self):
+        # 18 peaks, the last three of equal magnitude across the cut at 16,
+        # and two equal peaks inside it
+        peaks = {int(round(11.3 * h)): 1.0 / h for h in range(1, 16)}
+        peaks |= {int(round(11.3 * h)): 0.05 for h in range(16, 19)}
+        peaks[int(round(11.3 * 4))] = peaks[int(round(11.3 * 5))]
+        for n in (512, 1024):
+            spec = isolated_peaks(n, peaks)
+            assert estimate_pitch_frame(spec, RATE) == reference_pitch_frame(spec, RATE)
+
+    def test_tie_one_peak_nearest_to_two_harmonics(self):
+        # at n = 512 (43 Hz bins) a 64.6 Hz candidate, a third of the peak
+        # at 4.5 bins, has harmonics 1.5 bins apart: the peak at 6.5 bins is
+        # nearest to, and within tolerance of, both its 4th and 5th
+        # harmonics, and explains only the 4th
+        spec = isolated_peaks(512, {4: 1.0, 6: 0.9, 9: 0.5, 11: 0.45, 13: 0.3})
+        want = reference_pitch_frame(spec, RATE)
+        assert want is not None
+        assert estimate_pitch_frame(spec, RATE) == want
+
 
 class TestSolveHarmonics:
     @settings(max_examples=50)
@@ -794,6 +969,20 @@ class TestSolveHarmonics:
         want = 0.5 * amps * np.exp(1j * (phases - np.pi / 2))
         assert np.max(np.abs(20 * np.log10(2 * np.abs(c) / amps))) <= 1e-3
         assert np.max(np.abs(c - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_noise_floors_are_row_medians(self):
+        # each row's floor is np.median of its bins away from its lines, with
+        # odd and even counts left, and 0 where every bin is taken
+        rng = np.random.default_rng(11)
+        mags = rng.rayleigh(1.0, (5, 64))
+        k_star = np.array([[3, 9, 15], [0, 30, 63], [10, 12, 40], [20, 25, 60], [2, 2, 2]])
+        floors = _noise_floors(mags, k_star)
+        for row, ks, floor in zip(mags, k_star, floors):
+            assert floor == reference_noise_floor(row, ks, 64)
+        left = [64 - np.unique(np.clip(ks[:, None] + np.arange(-2, 3), 0, 63)).size for ks in k_star]
+        assert {count % 2 for count in left} == {0, 1}
+        everywhere = np.arange(2, 64, 5)[None, :]
+        assert _noise_floors(mags[:1], everywhere)[0] == reference_noise_floor(mags[0], everywhere[0], 64) == 0.0
 
 
 class TestAnalyzeFrames:
@@ -1018,3 +1207,37 @@ class TestAnalyzeFrames:
             assert [getattr(m, k) for k in fields] == [getattr(a, k) for k in fields]
             np.testing.assert_array_equal(m.nrd, a.nrd)
             np.testing.assert_array_equal(m.magnitudes, a.magnitudes)
+
+    @settings(max_examples=12)
+    @given(
+        frame_len=st.sampled_from([512, 1024]),
+        segments=st.lists(
+            st.tuples(
+                st.sampled_from(["tone", "tone", "quiet", "noise", "silence"]),
+                st.floats(60.0, 500.0),
+                st.integers(1, 30),
+                st.integers(1, 10),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # f0 steps around noise, silence and a tone under the 16-bit step: the
+    # 108-line frames of 100 Hz at n = 512 solve five to a chunk, the
+    # 91-line frames of 118 Hz at n = 1024 seven to a chunk
+    @example(
+        frame_len=512,
+        segments=[("tone", 100.0, 30, 9), ("noise", 0, 1, 2), ("quiet", 150.0, 3, 5), ("tone", 230.0, 12, 4)],
+        seed=1,
+    )
+    @example(frame_len=1024, segments=[("tone", 118.0, 30, 12), ("silence", 0, 1, 3), ("tone", 300.0, 20, 4)], seed=2)
+    def test_stacked_pass_matches_per_frame_loop(self, frame_len, segments, seed):
+        # every frame of the stacked pass, voiced or not, is bitwise the one
+        # the per-frame loop measures: f0 steps put the frames in several
+        # line-count groups and chunks, silence and noise leave no pitch,
+        # and the quiet tone no line above the floor
+        hop = frame_len // 2
+        x = stepped_signal([(kind, f0, lines, hops * hop) for kind, f0, lines, hops in segments], seed)
+        audio = AudioBuffer(np.concatenate([x, np.zeros(max(0, frame_len - x.size))]), RATE)
+        assert_same_frames(measure_frames(audio, frame_len), reference_measure_frames(audio, frame_len))

@@ -1054,6 +1054,37 @@ class TestCompareEngines:
             assert lag == want_lag
             assert abs(corr - want_corr) <= 1e-12
 
+    @pytest.mark.parametrize("frame_len", [1024, 2048])
+    def test_command_read_at_each_measured_frame_centre(self, frame_len):
+        # measured frame i is centred at 512 i + 512, plan frame i at
+        # hop i + frame_len / 2: each measured frame is scored against the
+        # glide's f0 at its own centre, where the nearest plan frame is voiced
+        plan = glide_plan(100.0, 250.0, duration_s=0.5, frame_len=frame_len)
+        anchors = [fp.frame_index * plan.hop + frame_len // 2 for fp in plan.frames]
+        commanded = [fp.omega0 * RATE / (2 * np.pi) for fp in plan.frames]
+        for engine in (synth_fre, synth_tim):
+            out = engine(plan)
+            voiced = [f for f in measure_frames(out, 1024) if f.voiced]
+            centres = [f.frame_index * 512 + 512 for f in voiced]
+            err = [
+                np.interp(c, anchors, commanded) - f.omega0 * RATE / (2 * np.pi)
+                for f, c in zip(voiced, centres)
+                if (c - frame_len // 2 + plan.hop // 2) // plan.hop < len(plan.frames)
+            ]
+            rep = compare_engines(out, out, plan)
+            assert rep["command_f0_rms_hz_a"] == pytest.approx(np.sqrt(np.mean(np.square(err))), rel=1e-9)
+            assert rep["command_f0_rms_hz_a"] <= 10.0
+            # pairing measured frame i with plan frame i reads about 40 Hz at 2048
+            paired = [
+                commanded[f.frame_index] - f.omega0 * RATE / (2 * np.pi)
+                for f in voiced
+                if f.frame_index < len(commanded)
+            ]
+            if frame_len == 1024:
+                assert rep["command_f0_rms_hz_a"] == np.sqrt(np.mean(np.square(paired)))
+            else:
+                assert np.sqrt(np.mean(np.square(paired))) >= 30.0
+
     def test_mixed_sample_rates_rejected(self):
         amps, nrd = [1.0, 0.7, 0.45, 0.3, 0.2, 0.12], np.zeros(6)
         a = AudioBuffer(harmonic_wave(150.0, amps, nrd, RATE // 2), RATE)
