@@ -178,8 +178,6 @@ def fit_lpc_envelope(
 
     guard = mags.max() * 10.0 ** (_ENVELOPE_FLOOR_DB / 20.0)
     log_target = np.log(np.maximum(mags, guard))
-    grid = np.arange(_ENVELOPE_GRID + 1) * np.pi / _ENVELOPE_GRID
-    log_s = np.interp(grid, omega_l, log_target)
 
     # stage 1: autocorrelation-method fit of the resampled line spectrum
     # (skipped when a warm start is supplied)
@@ -188,7 +186,8 @@ def fit_lpc_envelope(
         poles = warm_start.poles
         budget = 300
     else:
-        power = np.exp(2.0 * log_s)
+        grid = np.arange(_ENVELOPE_GRID + 1) * np.pi / _ENVELOPE_GRID
+        power = np.exp(2.0 * np.interp(grid, omega_l, log_target))
         r = np.fft.irfft(power, 2 * _ENVELOPE_GRID)[: order + 1]
         # a principal submatrix of the guarded power's circulant: positive definite, condition <= 1e10
         phi = solve_toeplitz((r[:order], r[:order]), r[1:])
@@ -199,10 +198,11 @@ def fit_lpc_envelope(
     # autocorrelation norm tolerates large relative errors in spectral
     # valleys; this stage does not)
     poles, gain, info, ier = _refine_pole_fit(poles, omega_l, log_target, max_nfev=budget)
-    rms_db = 20.0 / np.log(10.0) * np.sqrt(np.mean(info["fvec"][: mags.size] ** 2))
-    log.debug("%s envelope fit, order %d on %d lines: %d evaluations, %.3g dB RMS, radius %.6f%s",
-              "warm" if warm else "cold", order, mags.size, info["nfev"], rms_db, np.abs(poles).max(),
-              ", budget used up" if ier == 5 else "")
+    if log.isEnabledFor(logging.DEBUG):
+        rms_db = 20.0 / np.log(10.0) * np.sqrt(np.mean(info["fvec"][: mags.size] ** 2))
+        log.debug("%s envelope fit, order %d on %d lines: %d evaluations, %.3g dB RMS, radius %.6f%s",
+                  "warm" if warm else "cold", order, mags.size, info["nfev"], rms_db, np.abs(poles).max(),
+                  ", budget used up" if ier == 5 else "")
     return LpcModel(poles, gain)
 
 
@@ -230,18 +230,22 @@ def _poles_to_params(poles):
     return np.asarray(params, dtype=np.float64)
 
 
-def _params_to_poles(params, order):
-    npairs = order // 2
-    nreal = order % 2
-    # a logit capped at 30 keeps a pair's radius 1e-13 under the cap, so that
-    # rounding in |p| never reads it above the cap
+def _upper_poles(params, npairs, out=None):
+    """Each pair's upper pole, radius `_POLE_RMAX` / (1 + e^-logit) at its angle (into `out` if given)."""
+    # a logit capped at 30 keeps a pair's radius 1e-13 under the cap, so that rounding
+    # in |p| never reads it above the cap; under -709.78, e^-logit overflows to radius 0
     with np.errstate(over="ignore"):
         radius = _POLE_RMAX / (1.0 + np.exp(-np.minimum(params[0 : 2 * npairs : 2], 30.0)))
-    upper = radius * np.exp(1j * params[1 : 2 * npairs : 2])
+    return np.multiply(radius, np.exp(1j * params[1 : 2 * npairs : 2]), out=out)
+
+
+def _params_to_poles(params, order):
+    npairs = order // 2
+    upper = _upper_poles(params, npairs)
     poles = np.empty(order, dtype=np.complex128)
     poles[0 : 2 * npairs : 2] = upper
     poles[1 : 2 * npairs : 2] = np.conj(upper)
-    if nreal:
+    if order % 2:
         poles[-1] = _POLE_RMAX * np.tanh(params[2 * npairs])
     return poles
 
@@ -263,17 +267,17 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
     zero rows pad the residual and the Jacobian (LM needs as many residuals
     as parameters); they leave the least-squares problem unchanged.
 
-    The residual callback evaluates its point once, residual and Jacobian
-    together, from the poles `_params_to_poles` returns.  Only upper poles
-    get rows, against the lines at e^-jw and at e^+jw (|1 - conj(p) e^-jw| =
-    |1 - p e^+jw|), plus one row at e^-jw for the real pole of an odd order.
-    With g = p e^-+jw / (1 - p e^-+jw) summed over a pair's two rows, the
-    pair's columns are Re(g) (1 - sigma) for its radius logit and -Im(g) for
-    its angle.  The factors stay complex: as 1 + r^2 - 2 r cos(theta -+ w),
-    a factor near the radius cap loses about 3 digits.  The residual callback
-    returns a copy; the Jacobian callback returns the kept Jacobian when
+    Only upper poles get rows, against the lines at e^-jw and at e^+jw
+    (|1 - conj(p) e^-jw| = |1 - p e^+jw|), plus one row at e^-jw for the
+    real pole of an odd order.  With g = p e^-+jw / (1 - p e^-+jw) summed
+    over a pair's two rows, the pair's columns are Re(g) (1 - sigma) for
+    its radius logit and -Im(g) for its angle.  The factors stay complex: as
+    1 + r^2 - 2 r cos(theta -+ w), a factor near the radius cap loses about
+    3 digits.  The residual callback keeps its point's upper poles, p e^-+jw
+    and factors, and returns a copy.  The Jacobian, which lmder asks for at
+    the start and at each accepted point, is formed from them only when
     asked at the point evaluated last (compared bytewise, since MINPACK
-    overwrites its `x` in place), and evaluates afresh otherwise."""
+    overwrites its `x` in place); elsewhere the point is evaluated afresh."""
     from scipy.optimize import leastsq
 
     order = init_poles.size
@@ -281,10 +285,13 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
     lines = omega_l.size
     rows = max(lines, order + 1)  # one parameter per pole, plus the log gain
     expw = np.exp(-1j * omega_l)
-    # row i of `turns` meets pole `pick[i]` of `_params_to_poles`: each
-    # upper pole at e^+jw, then at e^-jw, then the real pole at e^-jw
-    pick = np.r_[0 : 2 * npairs : 2, 0:order:2]
+    # row i of `turns` meets pole i of `column`: each upper pole at e^+jw,
+    # then at e^-jw, then the real pole at e^-jw
     turns = np.concatenate([np.tile(np.conj(expw), (npairs, 1)), np.tile(expw, (order - npairs, 1))])
+    column = np.empty((order, 1), dtype=np.complex128)
+    upper = column[:npairs, 0]
+    z = np.empty_like(turns)
+    factors = np.empty_like(turns)
     res = np.zeros(rows)
     jac_t = np.zeros((order + 1, rows))  # the Jacobian, transposed
     jac_t[-1, :lines] = 1.0
@@ -292,24 +299,27 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
 
     def residual(params):
         nonlocal key
-        poles = _params_to_poles(params, order)
-        z = poles[pick, None] * turns
-        factors = 1.0 - z
-        res[:lines] = params[-1] - np.log(np.maximum(np.abs(np.prod(factors, axis=0)), 1e-300)) - log_target
-        g = z / factors
-        g = g[:npairs] + g[npairs : 2 * npairs]
-        shrink = 1.0 - np.abs(poles[0 : 2 * npairs : 2]) / _POLE_RMAX  # 1 - sigma
-        np.multiply(g.real, shrink[:, None], out=jac_t[0 : 2 * npairs : 2, :lines])
-        np.negative(g.imag, out=jac_t[1 : 2 * npairs : 2, :lines])
+        _upper_poles(params, npairs, out=upper)
+        column[npairs : 2 * npairs, 0] = upper
         if order % 2:
-            dq_dv = _POLE_RMAX * (1.0 - np.tanh(params[2 * npairs]) ** 2)
-            jac_t[-2, :lines] = np.real(turns[-1] / factors[-1]) * dq_dv
+            column[-1, 0] = _POLE_RMAX * np.tanh(params[2 * npairs])
+        np.multiply(column, turns, out=z)
+        np.subtract(1.0, z, out=factors)
+        res[:lines] = params[-1] - np.log(np.maximum(np.abs(np.multiply.reduce(factors, axis=0)), 1e-300)) - log_target
         key = params.tobytes()
         return res.copy()
 
     def jacobian(params):
         if params.tobytes() != key:
             residual(params)
+        g = z / factors
+        g = g[:npairs] + g[npairs : 2 * npairs]
+        shrink = 1.0 - np.abs(upper) / _POLE_RMAX  # 1 - sigma
+        np.multiply(g.real, shrink[:, None], out=jac_t[0 : 2 * npairs : 2, :lines])
+        np.negative(g.imag, out=jac_t[1 : 2 * npairs : 2, :lines])
+        if order % 2:
+            dq_dv = _POLE_RMAX * (1.0 - np.tanh(params[2 * npairs]) ** 2)
+            jac_t[-2, :lines] = np.real(turns[-1] / factors[-1]) * dq_dv
         return jac_t.T
 
     start = _poles_to_params(init_poles)
@@ -341,7 +351,7 @@ class FrameParams:
     (None on the line records of `measure_frames`).
 
     An analysed unvoiced frame says which gate made it so in
-    `unvoiced_reason`: "no pitch" (`estimate_pitch_frame` found none), "no
+    `unvoiced_reason`: "no pitch" (the pitch search found none), "no
     line above the floor" (no harmonic passed `measure_frames`' 12 dB
     gate) or "envelope fit failed" (`analyze_frames`' fit raised).  It is
     None on voiced frames.
@@ -672,9 +682,9 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     Splits the signal into `frame_len`-sample frames at 50% overlap,
     windows each with the square-root shifted Hanning window, transforms
     them all in one `odft` call, and for every voiced frame estimates f0
-    from that frame alone (`estimate_pitch_frame`), then the per-harmonic
-    magnitudes and phases at that f0 (solved jointly across harmonics) and
-    the NRD vector.  Unvoiced frames are flagged with their reason and
+    from that frame alone (`_pitch_frames`, of which `estimate_pitch_frame`
+    is the one-row call), then the per-harmonic magnitudes and phases at
+    that f0 (solved jointly across harmonics) and the NRD vector.  Unvoiced frames are flagged with their reason and
     carry no parameters.  No frame carries an envelope: `analyze_frames`
     fits those.
 

@@ -270,7 +270,7 @@ def capture_solves(monkeypatch):
 
 def reference_fit_closures(order, omega_l, log_target):
     """`_refine_pole_fit`'s residual and Jacobian as two passes over every
-    pole's factor, conjugates included: the reference its fused evaluation
+    pole's factor, conjugates included: the reference its own evaluation
     must reproduce to rounding."""
     npairs = order // 2
     nreal = order % 2
@@ -314,6 +314,60 @@ def reference_fit_closures(order, omega_l, log_target):
             jac[:lines, 2 * npairs] = -np.real(f_all[:, -1] * dq_dv)
         jac[:lines, -1] = 1.0
         return jac
+
+    return residual, jacobian
+
+
+def reference_fused_closures(order, omega_l, log_target):
+    """`_refine_pole_fit`'s residual and Jacobian as they were when one
+    evaluation formed both, from the full pole array gathered row by row:
+    the reference the lean evaluation must reproduce bitwise."""
+
+    def params_to_poles(params):
+        npairs = order // 2
+        nreal = order % 2
+        with np.errstate(over="ignore"):
+            radius = _POLE_RMAX / (1.0 + np.exp(-np.minimum(params[0 : 2 * npairs : 2], 30.0)))
+        upper = radius * np.exp(1j * params[1 : 2 * npairs : 2])
+        poles = np.empty(order, dtype=np.complex128)
+        poles[0 : 2 * npairs : 2] = upper
+        poles[1 : 2 * npairs : 2] = np.conj(upper)
+        if nreal:
+            poles[-1] = _POLE_RMAX * np.tanh(params[2 * npairs])
+        return poles
+
+    npairs = order // 2
+    lines = omega_l.size
+    rows = max(lines, order + 1)
+    expw = np.exp(-1j * omega_l)
+    pick = np.r_[0 : 2 * npairs : 2, 0:order:2]
+    turns = np.concatenate([np.tile(np.conj(expw), (npairs, 1)), np.tile(expw, (order - npairs, 1))])
+    res = np.zeros(rows)
+    jac_t = np.zeros((order + 1, rows))
+    jac_t[-1, :lines] = 1.0
+    key = None
+
+    def residual(params):
+        nonlocal key
+        poles = params_to_poles(params)
+        z = poles[pick, None] * turns
+        factors = 1.0 - z
+        res[:lines] = params[-1] - np.log(np.maximum(np.abs(np.prod(factors, axis=0)), 1e-300)) - log_target
+        g = z / factors
+        g = g[:npairs] + g[npairs : 2 * npairs]
+        shrink = 1.0 - np.abs(poles[0 : 2 * npairs : 2]) / _POLE_RMAX
+        np.multiply(g.real, shrink[:, None], out=jac_t[0 : 2 * npairs : 2, :lines])
+        np.negative(g.imag, out=jac_t[1 : 2 * npairs : 2, :lines])
+        if order % 2:
+            dq_dv = _POLE_RMAX * (1.0 - np.tanh(params[2 * npairs]) ** 2)
+            jac_t[-2, :lines] = np.real(turns[-1] / factors[-1]) * dq_dv
+        key = params.tobytes()
+        return res.copy()
+
+    def jacobian(params):
+        if params.tobytes() != key:
+            residual(params)
+        return jac_t.T
 
     return residual, jacobian
 
@@ -594,13 +648,18 @@ class TestLpcEnvelope:
         assert float(np.exp(ref.x[-1])) == fit.gain
         # MINPACK fed the two-pass reference closures from the same start
         # stops after as many evaluations, on the same test, at lines within
-        # 1e-6 dB: the fused evaluation takes the reference's path
+        # 1e-6 dB: the library's evaluation takes the reference's path
         log_target = np.log(np.maximum(mags, mags.max() * 1e-5))  # fit_lpc_envelope's -100 dB guard
         ref_residual, ref_jacobian = reference_fit_closures(order, omega_l, log_target)
         ref_x, _, ref_info, _, ref_ier = lm(ref_residual, x0, Dfun=ref_jacobian, **kwargs)
         assert (ref_info["nfev"], ref_ier) == (info["nfev"], ier)
         fits = [LpcModel(_params_to_poles(p, order), np.exp(p[-1])) for p in (x, ref_x)]
         assert np.abs(20 * np.log10(fits[0].magnitude(omega_l) / fits[1].magnitude(omega_l))).max() <= 1e-6
+        # and fed the fused copy, which formed the Jacobian at every point, it
+        # ends bitwise where the lean closures did, after as many evaluations
+        fused_residual, fused_jacobian = reference_fused_closures(order, omega_l, log_target)
+        fused_x, _, fused_info, _, fused_ier = lm(fused_residual, x0, Dfun=fused_jacobian, **kwargs)
+        assert (fused_info["nfev"], fused_ier) == (info["nfev"], ier) and np.array_equal(fused_x, x)
 
     @settings(max_examples=60)
     @given(data=st.data(), order=st.integers(1, 18), lines=st.integers(1, 130))
@@ -640,6 +699,43 @@ class TestLpcEnvelope:
         assert np.abs(jac - ref_jac).max() <= 1e-12 * np.abs(ref_jac).max()
         np.testing.assert_array_equal(r[lines:], 0.0)
         np.testing.assert_array_equal(jac[lines:], 0.0)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), order=st.integers(1, 18), lines=st.integers(1, 130))
+    def test_lean_evaluation_matches_fused_copy(self, data, order, lines):
+        # bitwise, against the closures that formed the Jacobian at every
+        # residual: logits out to the radius cap and beyond exp's overflow
+        # (-log(DBL_MAX) itself still gives a radius above 0), angles at 0,
+        # at pi and on a line, odd orders, zero padding, and a Jacobian asked
+        # at another point than the last residual's, in the residual's own
+        # buffer as MINPACK does
+        omega0 = data.draw(st.floats(1e-3, np.pi / (lines + 1)))
+        log_target = np.array(data.draw(st.lists(st.floats(-12.0, 3.0), min_size=lines, max_size=lines)))
+        edge = -709.782712893384  # log(DBL_MAX): the last logit whose e^-logit is finite
+        logit = st.one_of(
+            st.floats(-1000.0, 50.0),
+            st.sampled_from([-30.0, 30.0, 45.0, edge, np.nextafter(edge, -np.inf), -1e4]),
+        )
+        angle = st.one_of(
+            st.floats(-np.pi, np.pi), st.sampled_from([0.0, np.pi]), st.integers(1, lines).map(lambda ell: ell * omega0)
+        )
+
+        def point():
+            pairs = data.draw(st.lists(st.tuples(logit, angle), min_size=order // 2, max_size=order // 2))
+            real = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=order % 2, max_size=order % 2))
+            return np.array([v for pair in pairs for v in pair] + real + [data.draw(st.floats(-5.0, 5.0))])
+
+        a, b = point(), point()
+        omega_l = (np.arange(lines) + 1) * omega0
+        residual, jacobian = fit_closures(order, omega_l, log_target, a)
+        ref_residual, ref_jacobian = reference_fused_closures(order, omega_l, log_target)
+        np.testing.assert_array_equal(residual(a), ref_residual(a))
+        np.testing.assert_array_equal(jacobian(a), ref_jacobian(a))
+        x = a.copy()
+        np.testing.assert_array_equal(residual(x), ref_residual(a))
+        x[:] = b
+        np.testing.assert_array_equal(jacobian(x), ref_jacobian(b))
+        np.testing.assert_array_equal(residual(a), ref_residual(a))
 
     def test_one_solver_for_every_shape(self, monkeypatch):
         # 6 lines at order 12: more parameters than lines
