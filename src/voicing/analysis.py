@@ -123,13 +123,10 @@ class LpcModel:
         uses it."""
         return np.real(np.poly(self.poles))[1:]
 
-    def frequency_response(self, omega) -> np.ndarray:
-        """Complex response at angular frequencies `omega` (rad/sample)."""
-        w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-        return self.gain / np.prod(1.0 - self.poles[None, :] * np.exp(-1j * w)[:, None], axis=1)
-
     def magnitude(self, omega) -> np.ndarray:
-        return np.abs(self.frequency_response(omega))
+        """|H(w)| at angular frequencies `omega` (rad/sample)."""
+        w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
+        return np.abs(self.gain / np.prod(1.0 - self.poles[None, :] * np.exp(-1j * w)[:, None], axis=1))
 
 
 def fit_lpc_envelope(
@@ -384,16 +381,14 @@ def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
 
     The envelope is evaluated at (l+1)*omega0, all below Nyquist by
     `FrameParams`' check, and scaled so the fundamental comes out at a0.
-    Falls back to the measured magnitudes when no envelope is present.
+    Without an envelope, a copy of the measured magnitudes, at most one
+    per NRD entry (FRE and TIM reject a frame with fewer).
     """
     n = params.nrd.size or params.magnitudes.size
+    if params.envelope is None:
+        return params.magnitudes[:n].copy()
     if n == 0:
         return np.zeros(0)
-    if params.envelope is None:
-        out = np.zeros(n)
-        take = min(n, params.magnitudes.size)
-        out[:take] = params.magnitudes[:take]
-        return out
     mags = params.envelope.magnitude((np.arange(n) + 1) * params.omega0)
     return mags * (params.a0 / mags[0])
 
@@ -761,13 +756,16 @@ def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     """Frame-based ODFT parametric analysis: the line records of
     `measure_frames`, each voiced one with an LPC magnitude envelope.
 
-    The envelope is fitted at order min(`_ANALYSIS_LPC_ORDER`, 2 * lines):
-    poles beyond one pair per line are constrained by nothing.  Each voiced
-    frame's fit starts from the previous frame's model when that frame is
-    voiced and its model has the same order; the first frame of a voiced
-    run, and any frame whose order differs from its predecessor's, starts
-    cold.  A frame whose fit fails is marked unvoiced, with the reason
-    "envelope fit failed".
+    The envelope is fitted at order min(`_ANALYSIS_LPC_ORDER`, 2 * lines),
+    at most one conjugate pair per line.  The fit has order + 1 parameters
+    (a radius and an angle per pair, plus the gain) and one residual per
+    line, so under order + 1 lines (19 at the full order) it has more
+    parameters than residuals and `_refine_pole_fit` pads the residual
+    with zero rows.  Each voiced frame's fit starts from the previous
+    frame's model when that frame is voiced and its model has the same
+    order; the first frame of a voiced run, and any frame whose order
+    differs from its predecessor's, starts cold.  A frame whose fit fails
+    is marked unvoiced, with the reason "envelope fit failed".
     """
     frames = measure_frames(signal, frame_len)
     warm = None

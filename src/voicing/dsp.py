@@ -61,17 +61,6 @@ def make_sqrt_shifted_hanning(n: int) -> np.ndarray:
     return np.sin(np.pi * (np.arange(n) + 0.5) / n)
 
 
-def dft(x: np.ndarray) -> np.ndarray:
-    """Plain DFT, X[k] = sum_n x[n] exp(-2j pi k n / P).
-
-    Accepts any length; FFT-based (O(P log P) even for prime P).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 1:
-        raise ValueError("dft input must be non-empty")
-    return np.fft.fft(x)
-
-
 def odft(x: np.ndarray) -> np.ndarray:
     """Odd-frequency DFT: bins at half-integer frequencies (k + 0.5).
 

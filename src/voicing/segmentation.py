@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import F0_RANGE_HZ, nrd_from_phases
-from .dsp import AudioBuffer, cross_correlate, dft, normalize_correlation
+from .dsp import AudioBuffer, cross_correlate, normalize_correlation
 
 log = logging.getLogger(__name__)
 _LOST_THRESHOLD = 0.3  # normalized correlation under which periodicity counts as lost
@@ -155,29 +155,26 @@ def refine_period(signal: AudioBuffer, period_start: int, period: int) -> int:
     return updated
 
 
-def align_onset(
-    signal: AudioBuffer,
-    period_start: int,
-    period: int,
-    *,
-    search: tuple[int, int] | None = None,
-):
+def align_onset(signal: AudioBuffer, period_start: int, period: int):
     """Shift a period start onto the fundamental's onset.
 
-    Searches S in [-P//2, P//2] (or the explicit `search` bounds) for the
-    shift whose P-point DFT satisfies angle(X[1]) ~ -pi/2; ties break
-    toward the smallest |S|.  X[1] at every candidate start is the
-    correlation of the signal with cos(2 pi n / P) minus 1j times its
-    correlation with sin(2 pi n / P), both read over the one lag range
-    [start + lo, start + hi].  Returns (shift, aligned_start); raises
-    ValueError when that range is empty or exceeds the signal.
+    Searches S in [-P//2, P//2], clamped so every candidate period lies in
+    the signal, for the shift whose P-point DFT satisfies
+    angle(X[1]) ~ -pi/2; ties break toward the smallest |S|.  X[1] at
+    every candidate start is the correlation of the signal with
+    cos(2 pi n / P) minus 1j times its correlation with sin(2 pi n / P),
+    both read over the one lag range [start + lo, start + hi].  Returns
+    (shift, aligned_start); raises ValueError when the period
+    [period_start, period_start + P) itself leaves the signal.
     """
     x = signal.samples
     p = int(period)
     start = int(period_start)
     if p < 5:
         raise ValueError(f"period must be at least 5 samples, got {p}")
-    lo, hi = (-(p // 2), p // 2) if search is None else search
+    if start < 0 or start + p > x.size:
+        raise ValueError("period window exceeds the signal")
+    lo, hi = max(-(p // 2), -start), min(p // 2, x.size - start - p)
     cycle = 2 * np.pi * np.arange(p) / p
     starts = (start + lo, start + hi)
     bin1 = cross_correlate(np.cos(cycle), x, starts) - 1j * cross_correlate(np.sin(cycle), x, starts)
@@ -207,7 +204,7 @@ def _extract_periods(signal: AudioBuffer, bounds) -> list[PitchPeriod]:
     phi_l = angle(X[1+l]) + pi/2 and A_l = 2|X[1+l]|/P from the P-point
     DFT of each period; the NRD vector subtracts the residual fundamental
     phase, so a sub-sample onset offset does not tilt the result.  The
-    periods of each length P are stacked and transformed by one `dft`;
+    periods of each length P are stacked and transformed by one FFT;
     their bins, zero-padded to the longest period's harmonic count, then
     give every period's phases, magnitudes and NRD in one pass, each row
     as it would alone.
@@ -220,7 +217,7 @@ def _extract_periods(signal: AudioBuffer, bounds) -> list[PitchPeriod]:
     for p in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == p)
         count = counts[rows[0]]
-        bins[rows, :count] = dft(x[starts[rows, None] + np.arange(p)])[:, 1 : 1 + count]
+        bins[rows, :count] = np.fft.fft(x[starts[rows, None] + np.arange(p)])[:, 1 : 1 + count]
     phases = np.angle(bins) + np.pi / 2
     magnitudes = 2.0 * np.abs(bins) / lengths[:, None]
     nrd = nrd_from_phases(phases)
@@ -280,8 +277,7 @@ def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
     either way the track records where and why it ended, and one INFO
     record says so.
     """
-    x = signal.samples
-    if seed.end_sample > x.size:
+    if seed.end_sample > signal.samples.size:
         raise ValueError("seed region exceeds the signal")
     bounds = []  # accepted onsets: each period runs from one to the next
     est = seed.period
@@ -296,9 +292,7 @@ def segment_track(signal: AudioBuffer, seed: SeedRegion) -> PeriodTrack:
         except ValueError:
             cause = "out_of_signal"
             break
-        lo = max(-(est // 2), -cursor)
-        hi = min(est // 2, x.size - cursor - est)
-        _, onset = align_onset(signal, cursor, est, search=(lo, hi))
+        _, onset = align_onset(signal, cursor, est)
         if bounds:
             emitted = onset - bounds[-1]
             if emitted < 5 or abs(emitted - est) > max(2, 0.2 * est):

@@ -37,7 +37,6 @@ from .analysis import FrameParams, harmonic_amplitudes, measure_frames
 from .dsp import (
     AudioBuffer,
     cross_correlate,
-    dft,
     inverse_odft,
     make_sqrt_shifted_hanning,
     sine_window_spectrum,
@@ -62,13 +61,14 @@ class LfParams:
     open_quotient: open-phase fraction of the period (te/T0).
     asymmetry: position of the flow peak within the open phase (tp/te).
     return_quotient: exponential return-phase time constant over T0.
+    A shape outside these ranges raises ValueError at construction.
     """
 
     open_quotient: float = 0.6
     asymmetry: float = 2.0 / 3.0
     return_quotient: float = 0.02
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.open_quotient < 1.0:
             raise ValueError(f"open_quotient {self.open_quotient} outside (0, 1)")
         if not 0.5 < self.asymmetry < 1.0:
@@ -83,9 +83,7 @@ class LfParams:
 class GlottalPulse:
     """One glottal-flow-derivative period, peak-normalized and DC-free."""
 
-    period: int
     samples: np.ndarray
-    shape_params: LfParams
 
 
 @dataclass
@@ -406,7 +404,6 @@ def synth_glottal_pulse(period: int, shape_params: LfParams | None = None) -> Gl
     not the period: pulses of different lengths are time-scaled copies.
     """
     shape = shape_params or LfParams()
-    shape.validate()
     p = int(period)
     if p < 16:
         raise ValueError(f"period must be at least 16 samples, got {p}")
@@ -425,7 +422,7 @@ def synth_glottal_pulse(period: int, shape_params: LfParams | None = None) -> Gl
 
     g -= g.mean()
     g /= np.abs(g.min())
-    return GlottalPulse(period=p, samples=g, shape_params=shape)
+    return GlottalPulse(samples=g)
 
 
 def _rendered_line_magnitudes(response, period, count):
@@ -433,7 +430,7 @@ def _rendered_line_magnitudes(response, period, count):
     overlap-added at period offsets: those of the response folded into one
     period."""
     folded = np.pad(response, (0, -response.size % period)).reshape(-1, period).sum(axis=0)
-    return 2.0 * np.abs(dft(folded)[1 : 1 + count]) / period
+    return 2.0 * np.abs(np.fft.fft(folded)[1 : 1 + count]) / period
 
 
 def _tilt_compensated_model(amps, pulse_samples, period):
@@ -483,8 +480,8 @@ def synth_glo(plan: SynthesisPlan) -> AudioBuffer:
 
     One response is kept: a period whose command (its length and
     amplitudes) equals the last one adds that response again.  Any other
-    command gets its own pulse and response, and a DEBUG record of how
-    closely the response renders the commanded lines.
+    command gets its own pulse and response, and, when DEBUG is on, a
+    DEBUG record of how closely the response renders the commanded lines.
     """
     total = plan.total_length
     out = np.zeros(total)
@@ -493,12 +490,13 @@ def synth_glo(plan: SynthesisPlan) -> AudioBuffer:
         if command is None or command[0] != period or not np.array_equal(command[1], amps):
             pulse = synth_glottal_pulse(period).samples
             response = np.convolve(pulse, _tilt_compensated_model(amps, pulse, period))
-            count = min(amps.size, harmonic_count(period))
-            rendered = _rendered_line_magnitudes(response, period, count)
-            log.debug(
-                "GLO period %d: %d commanded lines rendered within %.2e dB",
-                period, count, np.max(np.abs(20.0 * np.log10(rendered / amps[:count]))),
-            )
+            if log.isEnabledFor(logging.DEBUG):
+                count = min(amps.size, harmonic_count(period))
+                rendered = _rendered_line_magnitudes(response, period, count)
+                log.debug(
+                    "GLO period %d: %d commanded lines rendered within %.2e dB",
+                    period, count, np.max(np.abs(20.0 * np.log10(rendered / amps[:count]))),
+                )
             command = (period, amps)
         out[position : position + response.size] += response[: total - position]
 

@@ -9,7 +9,6 @@ from voicing.dsp import (
     UnstableFilterError,
     all_pole_filter,
     cross_correlate,
-    dft,
     inverse_odft,
     make_sqrt_shifted_hanning,
     odft,
@@ -18,14 +17,6 @@ from voicing.dsp import (
     stabilize_all_pole,
     window_norms,
 )
-
-
-def naive_dft(x):
-    """O(P^2) reference DFT."""
-    x = np.asarray(x, dtype=np.float64)
-    p = x.size
-    n = np.arange(p)
-    return np.array([np.sum(x * np.exp(-2j * np.pi * k * n / p)) for k in range(p)])
 
 
 def naive_odft(x):
@@ -80,40 +71,6 @@ class TestWindow:
     def test_rejects_bad_length(self, n):
         with pytest.raises(ValueError):
             make_sqrt_shifted_hanning(n)
-
-
-class TestDft:
-    def test_impulse(self):
-        np.testing.assert_allclose(dft([1.0, 0.0, 0.0, 0.0]), np.ones(4), atol=1e-12)
-
-    def test_sine_bin1(self):
-        x = np.sin(2 * np.pi * np.arange(8) / 8)
-        spec = dft(x)
-        assert spec[1] == pytest.approx(-4j, abs=1e-12)
-        assert abs(spec[1]) == pytest.approx(4.0, abs=1e-12)
-        assert np.angle(spec[1]) == pytest.approx(-np.pi / 2, abs=1e-12)
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(16)
-        np.testing.assert_allclose(dft(x), naive_dft(x), atol=1e-10)
-
-    @pytest.mark.parametrize("p", [5, 12, 17, 31, 200])
-    def test_matches_naive_oracle_arbitrary_length(self, p):
-        rng = np.random.default_rng(p)
-        x = rng.standard_normal(p)
-        np.testing.assert_allclose(dft(x), naive_dft(x), atol=1e-9)
-
-    def test_conjugate_symmetry_real_input(self):
-        rng = np.random.default_rng(3)
-        for p in (6, 7, 50, 128):
-            x = rng.standard_normal(p)
-            spec = dft(x)
-            np.testing.assert_allclose(spec[1:], np.conj(spec[1:][::-1]), atol=1e-10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            dft([])
 
 
 class TestOdft:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voicing.analysis import average_nrd, nrd_from_phases, wrap_cycles
-from voicing.dsp import AudioBuffer, dft
+from voicing.dsp import AudioBuffer
 from voicing.segmentation import (
     _LOST_THRESHOLD,
     PitchPeriod,
@@ -66,7 +66,7 @@ def reference_extract_period_params(signal, start, period):
     count = harmonic_count(p)
     if start < 0 or start + p > x.size:
         raise ValueError("period window exceeds the signal")
-    spec = dft(x[start : start + p])
+    spec = np.fft.fft(x[start : start + p])
     bins = spec[1 : 1 + count]
     phases = np.angle(bins) + np.pi / 2
     magnitudes = 2.0 * np.abs(bins) / p
@@ -264,9 +264,27 @@ class TestAlignOnset:
             assert resid <= 2 * np.pi / p
 
     def test_out_of_bounds(self):
+        # near either end the search keeps to the shifts whose period lies
+        # in the signal: brute force over the FFT of each of those windows
         x = np.sin(2 * np.pi * np.arange(300) / 100.0)
-        with pytest.raises(ValueError):
-            align_onset(AudioBuffer(x, RATE), 10, 100)
+        assert align_onset(AudioBuffer(x, RATE), 10, 100) == (-10, 0)
+        rng = np.random.default_rng(9)
+        for p in (5, 6, 100, 101):
+            x = rng.standard_normal(3 * p)
+            shifts = np.arange(-(p // 2), p // 2 + 1)
+            for start in (0, 1, p // 4, 2 * p - p // 4 - 1, 2 * p - 1, 2 * p):
+                inside = shifts[(start + shifts >= 0) & (start + shifts + p <= x.size)]
+                windows = x[start + inside[:, None] + np.arange(p)[None, :]]
+                err = np.angle(np.fft.fft(windows, axis=1)[:, 1]) + np.pi / 2
+                residual = np.abs((err + np.pi) % (2 * np.pi) - np.pi)
+                s = int(inside[np.lexsort((np.abs(inside), residual))[0]])
+                assert align_onset(AudioBuffer(x, RATE), start, p) == (s, start + s)
+            # a period that does not fit the signal still raises
+            for start in (-1, 2 * p + 1):
+                with pytest.raises(ValueError):
+                    align_onset(AudioBuffer(x, RATE), start, p)
+            with pytest.raises(ValueError):
+                align_onset(AudioBuffer(x[: p - 1], RATE), 0, p)
 
     def test_matches_a_dft_of_every_window(self):
         # brute force: the FFT of each candidate window, the least phase

@@ -18,7 +18,6 @@ from voicing.analysis import (
 )
 from voicing.dsp import (
     AudioBuffer,
-    dft,
     inverse_odft,
     make_sqrt_shifted_hanning,
     odft,
@@ -264,7 +263,7 @@ class TestGlottalPulse:
 
     def test_spectral_tilt_monotone(self):
         pulse = synth_glottal_pulse(256)
-        mags = np.abs(dft(pulse.samples))[1:128]
+        mags = np.abs(np.fft.fft(pulse.samples))[1:128]
         smooth = np.convolve(mags, np.ones(3) / 3, mode="valid")
         peak = int(np.argmax(smooth))
         tail = smooth[peak:]
@@ -283,6 +282,14 @@ class TestGlottalPulse:
             synth_glottal_pulse(100, LfParams(return_quotient=0.9))
         with pytest.raises(ValueError):
             synth_glottal_pulse(8)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{"open_quotient": 1.5}, {"asymmetry": 0.4}, {"return_quotient": 0.9}, {"return_quotient": 0.0}],
+    )
+    def test_invalid_shape_cannot_be_built(self, shape):
+        with pytest.raises(ValueError, match=next(iter(shape))):
+            LfParams(**shape)
 
 
 class TestTim:
@@ -516,6 +523,24 @@ class TestFre:
         assert out.size == plan.total_length
         assert np.all(np.isfinite(out))
 
+    def test_frame_with_fewer_magnitudes_than_nrd(self):
+        # without an envelope a frame's amplitudes are its measured lines,
+        # a copy of them, however many NRD entries it has
+        plan = stationary_plan(200.0, [1.0, 0.5], [0.0, 0.3], duration_s=0.1, order=2)
+        frame = plan.frames[1]
+        frame.envelope = None
+        frame.magnitudes = np.array([0.8])
+        amps = harmonic_amplitudes(frame)
+        np.testing.assert_array_equal(amps, [0.8])
+        assert not np.shares_memory(amps, frame.magnitudes)
+        for engine in (synth_fre, synth_tim):
+            with pytest.raises(ValueError, match="1 harmonics but 2 NRD values"):
+                engine(plan)
+        # GLO renders the lines the frame has
+        out = synth_glo(plan).samples
+        assert out.size == plan.total_length
+        assert np.all(np.isfinite(out))
+
     def test_edges_at_full_gain(self):
         # f0 at 4 periods per hop, so every hop-long stretch of a stationary
         # render has the same RMS; the first and last hop included
@@ -591,7 +616,7 @@ class TestGlo:
         tract = LpcModel(poles, 1.0)
         omega_l = np.arange(1, count + 1) * 2 * np.pi * f0 / RATE
         source = synth_glottal_pulse(period, LfParams(open_quotient=0.66, return_quotient=0.03))
-        source_mags = 2 * np.abs(dft(source.samples))[1 : count + 1] / period
+        source_mags = 2 * np.abs(np.fft.fft(source.samples))[1 : count + 1] / period
         amps = tract.magnitude(omega_l) * source_mags
         amps /= amps.max()
 
@@ -623,7 +648,7 @@ class TestGlo:
         for frame in plan.frames:
             frame.envelope = tract  # the command is the tract itself, not a fit to it
         commanded = harmonic_amplitudes(plan.frames[0])
-        pulse_mags = 2 * np.abs(dft(synth_glottal_pulse(period).samples))[1 : count + 1] / period
+        pulse_mags = 2 * np.abs(np.fft.fft(synth_glottal_pulse(period).samples))[1 : count + 1] / period
         target_db = 20 * np.log10(commanded / pulse_mags)
         assert np.all((target_db.max() - target_db[:2] >= 35) & (target_db.max() - target_db[:2] <= 39))
 
@@ -661,8 +686,8 @@ class TestGlo:
                 amps = model.magnitude(2 * np.pi * np.arange(1, count + 1) / period)
                 response = _tilt_compensated_model(amps, pulse, period)
                 rendered = _rendered_line_magnitudes(np.convolve(pulse, response), period, lines)
-                pulse_mags = 2 * np.abs(dft(pulse)[1 : lines + 1]) / period
-                np.testing.assert_allclose(rendered, pulse_mags * np.abs(dft(response)[1 : lines + 1]), rtol=1e-12)
+                pulse_mags = 2 * np.abs(np.fft.fft(pulse)[1 : lines + 1]) / period
+                np.testing.assert_allclose(rendered, pulse_mags * np.abs(np.fft.fft(response)[1 : lines + 1]), rtol=1e-12)
                 np.testing.assert_allclose(rendered[:count], amps, rtol=1e-9, err_msg=str(period))
 
     @settings(max_examples=40)
@@ -741,6 +766,26 @@ class TestGlo:
         for message in records:
             assert message.startswith("GLO period 200: 8 commanded lines rendered within ")
             assert float(message.split("within ")[1].removesuffix(" dB")) <= 1e-6
+
+    def test_rendered_lines_read_for_the_record_only_under_debug(self, monkeypatch, caplog):
+        # each new command reads the pulse's lines; only the DEBUG record
+        # reads the response's too, and the render does not depend on it
+        import voicing.synthesis as synthesis_module
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _rendered_line_magnitudes(*args)
+
+        monkeypatch.setattr(synthesis_module, "_rendered_line_magnitudes", counting)
+        renders = []
+        for level, per_command in (("INFO", 1), ("DEBUG", 2)):
+            calls.clear()
+            with caplog.at_level(level, logger="voicing.synthesis"):
+                renders.append(synth_glo(_two_command_plan()).samples)
+            assert len(calls) == 4 * per_command, level
+        np.testing.assert_array_equal(renders[0], renders[1])
 
     def test_contour_roundtrip(self):
         plan = stationary_plan(110.0, [1.0, 0.7, 0.5, 0.3], np.zeros(4), duration_s=0.6, order=8)
