@@ -1,10 +1,10 @@
-"""Frame-based harmonic analysis: NRD phase algebra, pitch estimation,
-LPC magnitude envelopes, and the ODFT parametric front-end."""
+"""Frame-based harmonic analysis: NRD phase algebra, pitch estimation, the
+ODFT line measurement, and LPC magnitude envelopes, fitted only on request."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
@@ -136,9 +136,10 @@ def fit_lpc_envelope(
     *,
     warm_start=None,
 ) -> LpcModel:
-    """Fit an all-pole magnitude model to a harmonic line spectrum.
+    """Fit an all-pole magnitude model to a harmonic line spectrum, as
+    `fit_envelopes` does per analysed frame (analysis itself fits none).
 
-    The lines are fitted as given, each weighted equally: `measure_frames`
+    The lines are fitted as given, each weighted equally: `analyze_frames`
     alone decides which lines are measurements.  Lines more than 100 dB
     under the strongest (zeros too) are raised onto that level, a numerical
     guard (`_ENVELOPE_FLOOR_DB`).  A cold fit starts from the Yule-Walker
@@ -344,14 +345,13 @@ def _refine_pole_fit(init_poles, omega_l, log_target, *, max_nfev):
 @dataclass
 class FrameParams:
     """Per-frame parametric record: f0, fundamental magnitude/phase,
-    shift-invariant harmonic phase model (NRD), and magnitude envelope
-    (None on the line records of `measure_frames`).
+    shift-invariant harmonic phase model (NRD), line magnitudes, and an
+    envelope (None from `analyze_frames`; `fit_envelopes` adds one).
 
-    An analysed unvoiced frame says which gate made it so in
-    `unvoiced_reason`: "no pitch" (the pitch search found none), "no
-    line above the floor" (no harmonic passed `measure_frames`' 12 dB
-    gate) or "envelope fit failed" (`analyze_frames`' fit raised).  It is
-    None on voiced frames.
+    An unvoiced frame says which gate made it so in `unvoiced_reason`: "no
+    pitch" (the pitch search found none), "no line above the floor" (no
+    harmonic passed `analyze_frames`' 12 dB gate) or "envelope fit failed"
+    (`fit_envelopes`' fit raised).  It is None on voiced frames.
     """
 
     frame_index: int
@@ -375,14 +375,14 @@ class FrameParams:
 
 
 def harmonic_amplitudes(params: FrameParams) -> np.ndarray:
-    """Harmonic amplitudes A_l implied by a frame's a0 and envelope, one
-    per NRD entry (or per measured magnitude when the frame has no NRD,
-    which of the engines only GLO renders).
+    """Harmonic amplitudes A_l a frame commands, one per NRD entry (or per
+    measured magnitude when the frame has no NRD: only GLO renders those).
 
-    The envelope is evaluated at (l+1)*omega0, all below Nyquist by
-    `FrameParams`' check, and scaled so the fundamental comes out at a0.
-    Without an envelope, a copy of the measured magnitudes, at most one
-    per NRD entry (FRE and TIM reject a frame with fewer).
+    Without an envelope, as from `analyze_frames`, a copy of the measured
+    magnitudes, at most one per NRD entry (FRE and TIM reject a frame with
+    fewer).  With one (`fit_envelopes`, or a hand-built plan), the envelope
+    is evaluated at (l+1)*omega0, all below Nyquist by `FrameParams`'
+    check, and scaled so the fundamental comes out at a0.
     """
     n = params.nrd.size or params.magnitudes.size
     if params.envelope is None:
@@ -671,17 +671,18 @@ def _quantisation_floor(window) -> float:
     return float(np.sqrt(np.log(2.0) * np.sum(window**2) * step**2 / 12.0))
 
 
-def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FrameParams]:
-    """Frame-based ODFT measurement of the harmonic lines.
+def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FrameParams]:
+    """Frame-based ODFT parametric analysis: the harmonic lines, measured.
 
     Splits the signal into `frame_len`-sample frames at 50% overlap,
     windows each with the square-root shifted Hanning window, transforms
     them all in one `odft` call, and for every voiced frame estimates f0
     from that frame alone (`_pitch_frames`, of which `estimate_pitch_frame`
     is the one-row call), then the per-harmonic magnitudes and phases at
-    that f0 (solved jointly across harmonics) and the NRD vector.  Unvoiced frames are flagged with their reason and
-    carry no parameters.  No frame carries an envelope: `analyze_frames`
-    fits those.
+    that f0 (solved jointly across harmonics) and the NRD vector.  Unvoiced
+    frames are flagged with their reason and carry no parameters.  No
+    envelope is fitted: the engines render the measured lines, and
+    `fit_envelopes` fits where a command moves f0 off them.
 
     A frame keeps its harmonics up to the last one whose own image in its
     peak bin, |C_l W(nu_l - omega_l)| with the other lines' leakage solved
@@ -752,9 +753,9 @@ def measure_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     return frames
 
 
-def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FrameParams]:
-    """Frame-based ODFT parametric analysis: the line records of
-    `measure_frames`, each voiced one with an LPC magnitude envelope.
+def fit_envelopes(frames: list[FrameParams]) -> list[FrameParams]:
+    """New records of `frames`, each voiced one with an LPC magnitude
+    envelope fitted to its lines; `frames` is left as it is.
 
     The envelope is fitted at order min(`_ANALYSIS_LPC_ORDER`, 2 * lines),
     at most one conjugate pair per line.  The fit has order + 1 parameters
@@ -767,19 +768,16 @@ def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     differs from its predecessor's, starts cold.  A frame whose fit fails
     is marked unvoiced, with the reason "envelope fit failed".
     """
-    frames = measure_frames(signal, frame_len)
+    out = []
     warm = None
-    for m, fr in enumerate(frames):
+    for fr in frames:
         if fr.voiced:
+            order = min(_ANALYSIS_LPC_ORDER, 2 * fr.magnitudes.size)
             try:
                 # a warm start of another order is ignored by the fitter
-                fr.envelope = fit_lpc_envelope(
-                    fr.magnitudes,
-                    fr.omega0,
-                    min(_ANALYSIS_LPC_ORDER, 2 * fr.magnitudes.size),
-                    warm_start=warm,
-                )
+                fr = replace(fr, envelope=fit_lpc_envelope(fr.magnitudes, fr.omega0, order, warm_start=warm))
             except ValueError:
-                frames[m] = FrameParams(frame_index=fr.frame_index, voiced=False, unvoiced_reason="envelope fit failed")
-        warm = frames[m].envelope
-    return frames
+                fr = FrameParams(frame_index=fr.frame_index, voiced=False, unvoiced_reason="envelope fit failed")
+        out.append(fr)
+        warm = fr.envelope
+    return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import FrameParams, harmonic_amplitudes, measure_frames
+from .analysis import FrameParams, analyze_frames, harmonic_amplitudes
 from .dsp import (
     AudioBuffer,
     cross_correlate,
@@ -107,7 +107,7 @@ class SynthesisPlan:
     @property
     def hop(self) -> int:
         """Frame step: half a frame, the only hop at which FRE's windowed
-        overlap-add is an identity, and the one `measure_frames` uses."""
+        overlap-add is an identity, and the one `analyze_frames` uses."""
         return self.frame_len // 2
 
     def voiced_frames(self) -> list[FrameParams]:
@@ -221,8 +221,8 @@ def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
 
     Each voiced frame contributes `_FRE_BINS_PER_HARMONIC` complex ODFT bins
     per harmonic, built from the analysis window's frequency response
-    (magnitude and phase), the harmonic amplitudes implied by a0 and the
-    envelope, and phases reassembled from phi0 and the NRD model.  Frames
+    (magnitude and phase), the amplitudes `harmonic_amplitudes` reads off
+    the frame, and phases reassembled from phi0 and the NRD model.  Frames
     with a measured phi0 use it; otherwise phi0 is propagated by
     integrating omega0 across the hops, from 0 when the first voiced frame
     has none.
@@ -527,7 +527,7 @@ def compare_engines(
 ) -> dict:
     """Objective comparison report between two rendered signals.
 
-    Both signals' lines come from `measure_frames`; no envelope is fitted.
+    Both signals' lines come from `analyze_frames`, which fits no envelope.
     Reports the RMS difference of the frame-based f0 contours, the mean
     and max per-harmonic magnitude difference (dB, up to
     `_COMPARE_MAGNITUDE_LIMIT_HZ`), and the best shift-aligned waveform
@@ -547,8 +547,8 @@ def compare_engines(
     if len(set(rates.values())) > 1:
         raise ValueError("sample rates differ: " + ", ".join(f"{name} {rate} Hz" for name, rate in rates.items()))
     frame_len = _COMPARE_FRAME_LEN
-    frames_a = measure_frames(audio_a, frame_len)
-    frames_b = measure_frames(audio_b, frame_len)
+    frames_a = analyze_frames(audio_a, frame_len)
+    frames_b = analyze_frames(audio_b, frame_len)
     voiced_a = {f.frame_index: f for f in frames_a if f.voiced}
     voiced_b = {f.frame_index: f for f in frames_b if f.voiced}
     report: dict = {

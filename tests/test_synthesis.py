@@ -13,7 +13,6 @@ from voicing.analysis import (
     analyze_frames,
     fit_lpc_envelope,
     harmonic_amplitudes,
-    measure_frames,
     wrap_cycles,
 )
 from voicing.dsp import (
@@ -478,8 +477,8 @@ class TestFre:
         assert rep["waveform_correlation"] >= 0.999
         assert rep["waveform_lag_samples"] != 0
         # NRD re-analysis unchanged
-        fr_a = [f for f in measure_frames(out_a, 1024) if f.voiced][2:-2]
-        fr_b = [f for f in measure_frames(out_b, 1024) if f.voiced][2:-2]
+        fr_a = [f for f in analyze_frames(out_a, 1024) if f.voiced][2:-2]
+        fr_b = [f for f in analyze_frames(out_b, 1024) if f.voiced][2:-2]
         nrd_a = np.median([wrap_cycles(f.nrd[:3]) for f in fr_a], axis=0)
         nrd_b = np.median([wrap_cycles(f.nrd[:3]) for f in fr_b], axis=0)
         diff = np.abs(nrd_a - nrd_b)
@@ -622,7 +621,7 @@ class TestGlo:
 
         plan = stationary_plan(f0, amps, np.zeros(count), duration_s=0.8, order=18)
         out = synth_glo(plan)
-        frames = [f for f in measure_frames(out, 1024) if f.voiced][2:-2]
+        frames = [f for f in analyze_frames(out, 1024) if f.voiced][2:-2]
         assert len(frames) >= 5
         limit = int(4000 // f0)
         measured = np.median([f.magnitudes[:limit] for f in frames if f.magnitudes.size >= limit], axis=0)
@@ -652,7 +651,7 @@ class TestGlo:
         target_db = 20 * np.log10(commanded / pulse_mags)
         assert np.all((target_db.max() - target_db[:2] >= 35) & (target_db.max() - target_db[:2] <= 39))
 
-        frames = [f for f in measure_frames(synth_glo(plan), 1024) if f.voiced][2:-2]
+        frames = [f for f in analyze_frames(synth_glo(plan), 1024) if f.voiced][2:-2]
         assert len(frames) >= 5
         measured = np.median([f.magnitudes[:2] for f in frames], axis=0)
         assert np.max(np.abs(20 * np.log10(measured / commanded[:2]))) <= 0.1
@@ -997,7 +996,7 @@ class TestGlide:
             out = engine(plan)
             assert out.samples.size == plan.total_length
             assert np.all(np.isfinite(out.samples))
-            voiced = [f for f in measure_frames(out, 1024) if f.voiced]
+            voiced = [f for f in analyze_frames(out, 1024) if f.voiced]
             assert len(voiced) >= len(plan.frames) - 2
             for f in voiced:
                 commanded = plan.frames[min(f.frame_index, len(plan.frames) - 1)].omega0
@@ -1052,7 +1051,7 @@ class TestCompareEngines:
         monkeypatch.setattr(analysis_module, "fit_lpc_envelope", no_fit)
         plan = stationary_plan(118.0, [1.0, 0.7, 0.45, 0.3], [0.0, 0.2, 0.5, 0.9], duration_s=0.3, order=6)
         out = synth_fre(plan)
-        assert all(f.envelope is None for f in measure_frames(out, 1024))
+        assert all(f.envelope is None for f in analyze_frames(out, 1024))
         rep = compare_engines(out, synth_tim(plan), plan)
         assert rep["magnitude_diff_db_mean"] is not None
 
@@ -1109,7 +1108,7 @@ class TestCompareEngines:
         commanded = [fp.omega0 * RATE / (2 * np.pi) for fp in plan.frames]
         for engine in (synth_fre, synth_tim):
             out = engine(plan)
-            voiced = [f for f in measure_frames(out, 1024) if f.voiced]
+            voiced = [f for f in analyze_frames(out, 1024) if f.voiced]
             centres = [f.frame_index * 512 + 512 for f in voiced]
             err = [
                 np.interp(c, anchors, commanded) - f.omega0 * RATE / (2 * np.pi)
