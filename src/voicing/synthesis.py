@@ -5,9 +5,9 @@ Three engines consume the same per-frame parameter stream:
 * ``synth_fre`` -- frequency-domain: per frame, each harmonic is written
   into 9 ODFT bins through the analysis window's frequency response, the
   frame is inverted, windowed, and overlap-added at 50%.
-* ``synth_tim`` -- combined domain: pitch periods are synthesized one at
-  a time by additive synthesis and concatenated at cumulative offsets
-  with a short circular-extension crossfade.
+* ``synth_tim`` -- combined domain: pitch periods are synthesized by
+  additive synthesis and concatenated at cumulative offsets with a short
+  circular-extension crossfade.
 * ``synth_glo`` -- physiological: each period is a Liljencrants-Fant
   glottal-flow-derivative pulse convolved with its own minimum-phase
   vocal-tract response, built in closed form from the command divided by
@@ -16,18 +16,22 @@ Three engines consume the same per-frame parameter stream:
 
 The engines read the stream through `_ParamTrack`, which owns the rule
 between frame centers: omega0 and NRD linear, amplitudes log-linear, and
-the nearest frame held outside them.  TIM and GLO read it per period.
+the nearest frame held outside them.  TIM and GLO read it as one table of
+periods per plan (`_ParamTrack.periods`).
 
 What depends only on the plan is done once per plan, not per period or
 frame: each voiced frame's amplitudes are evaluated once (`_ParamTrack`),
-FRE injects and inverts all its frames as one stack, TIM and GLO reuse
-the last period's wave or response while its command repeats, and the
-LF constants are solved once per pulse shape (`_LF_CACHE`).
+the period table is one array pass, FRE injects and inverts all its
+frames as one stack, TIM and GLO build a wave or response only where the
+command changes and overlap-add all their periods in one pass
+(`_overlap_add`), and the LF constants are solved once per pulse shape
+(`_LF_CACHE`).
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +134,12 @@ class _ParamTrack:
     identical sides give the left frame bit-exactly, and t = 1 gives the
     right frame as it is.
 
-    Each voiced frame's `harmonic_amplitudes` are evaluated once and kept
-    read-only in `amps`; `at` may hand one out as it is.
+    Each voiced frame's `harmonic_amplitudes` and NRD are kept read-only in
+    `amps` and `nrd`, and a position at t = 1 hands them out as they are.
+    One reader serves every caller: the walk over positions is scalar, and
+    the amplitudes and NRD of all the positions read are one array
+    operation.  `periods` reads the plan as a table of periods, `read` at
+    given positions, and `at` at one.
     """
 
     def __init__(self, plan: SynthesisPlan):
@@ -140,56 +148,134 @@ class _ParamTrack:
             raise ValueError("plan has no voiced frames")
         self.frames = voiced
         self.amps = [harmonic_amplitudes(fp) for fp in voiced]
-        for amps in self.amps:
-            amps.flags.writeable = False
-        self.anchors = np.array(
-            [fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced], dtype=np.int64
-        )
+        self.nrd = [fp.nrd.copy() for fp in voiced]
+        for kept in self.amps + self.nrd:
+            kept.flags.writeable = False
+        self.anchors = [fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced]
 
     def check_nrd(self):
         """Reject a frame without NRD, for the engines that phase lines by it."""
-        for fp, amps in zip(self.frames, self.amps):
-            if fp.nrd.size != amps.size:
-                raise ValueError(f"frame {fp.frame_index}: {amps.size} harmonics but {fp.nrd.size} NRD values")
+        for fp, amps, nrd in zip(self.frames, self.amps, self.nrd):
+            if nrd.size != amps.size:
+                raise ValueError(f"frame {fp.frame_index}: {amps.size} harmonics but {nrd.size} NRD values")
 
-    def at(self, position: float):
-        """(omega0, amplitudes, nrd) at a sample position."""
+    def _locate(self, position):
+        """(j, t, omega0) at a sample position: j is the right frame of the
+        pair of anchors around it (a lone frame is its own), t in [0, 1]."""
         a = self.anchors
-        # the right anchor of the pair around position; a lone anchor is its own
-        j = min(max(int(np.searchsorted(a, position, side="right")), 1), a.size - 1)
+        j = min(max(bisect_right(a, position), 1), len(a) - 1)
+        right = self.frames[j]
         t = 1.0 if j == 0 else min(max(float((position - a[j - 1]) / (a[j] - a[j - 1])), 0.0), 1.0)
-        right, ra = self.frames[j], self.amps[j]
         if t == 1.0:
-            return right.omega0, ra, right.nrd.copy()
-        left, la = self.frames[j - 1], self.amps[j - 1]
-        omega0 = left.omega0 + t * (right.omega0 - left.omega0)
-        c = min(la.size, ra.size)
-        n = max(la.size, ra.size)
-        amps = np.zeros(n)
-        tiny = 1e-300
-        log_ratio = np.log(np.maximum(ra[:c], tiny)) - np.log(np.maximum(la[:c], tiny))
-        amps[:c] = la[:c] * np.exp(t * log_ratio)
-        longer_a = la if la.size >= ra.size else ra
-        amps[c:] = longer_a[c:]
-        nrd = np.zeros(n)
-        cn = min(left.nrd.size, right.nrd.size)
-        nrd[:cn] = left.nrd[:cn] + t * (right.nrd[:cn] - left.nrd[:cn])
-        longer_n = left.nrd if left.nrd.size >= right.nrd.size else right.nrd
-        nrd[cn : longer_n.size] = longer_n[cn:]
-        return omega0, amps, nrd
+            return j, t, right.omega0
+        left = self.frames[j - 1]
+        return j, t, left.omega0 + t * (right.omega0 - left.omega0)
 
-    def periods(self, total: int):
-        """Walk [0, total) one period at a time: yields (position, period,
-        amps, nrd), with period = round(2 pi / omega0) and the parameters
-        interpolated at the period's own start."""
-        position = 0
+    def _rows(self, js, ts):
+        """Amplitudes and NRD at each (j, t) of `_locate`, and whether each
+        row's amplitudes and NRD differ from the previous row's, as
+        `np.array_equal` tells (the first row's do).
+
+        A row at t = 1 is the right frame's kept arrays.  The other rows are
+        one array operation on a grid of every frame's lines, amplitudes
+        padded with 1 and NRD with 0: a column of t times each pair's log
+        ratio and NRD step, each computed once per pair, with each row then
+        cut to its pair's line count."""
+        width = max(a.size for a in self.amps)
+        grid_a, grid_n = np.ones((len(self.amps), width)), np.zeros((len(self.amps), width))
+        for row, (a, d) in enumerate(zip(self.amps, self.nrd)):
+            grid_a[row, : a.size] = a
+            grid_n[row, : d.size] = d
+        size_a = np.array([a.size for a in self.amps])
+        size_n = np.array([d.size for d in self.nrd])
+        held = np.array(ts) == 1.0
+        # every row at full width, with its own line counts
+        right = np.array(js)
+        full_a, full_n = grid_a[right], grid_n[right]
+        count_a, count_n = size_a[right], size_n[right]
+        between = np.flatnonzero(~held)
+        if between.size:
+            right = right[between]
+            left = right - 1
+            t = np.array(ts)[between, None]
+            line = np.arange(width)
+            log_ratio = np.diff(np.log(np.maximum(grid_a, 1e-300)), axis=0)[left]
+            step = np.diff(grid_n, axis=0)[left]
+            la, ra, ln, rn = grid_a[left], grid_a[right], grid_n[left], grid_n[right]
+            # the common lines interpolated, the longer side's tail carried over
+            common = line < np.minimum(size_a[left], size_a[right])[:, None]
+            tail = np.where((size_a[left] >= size_a[right])[:, None], la, ra)
+            full_a[between] = np.where(common, la * np.exp(t * log_ratio), tail)
+            common = line < np.minimum(size_n[left], size_n[right])[:, None]
+            tail = np.where((size_n[left] >= size_n[right])[:, None], ln, rn)
+            full_n[between] = np.where(common, ln + t * step, tail)
+            count_a[between] = count_n[between] = np.maximum(size_a[left], size_a[right])
+        amps = [self.amps[k] if h else row[:n] for k, h, row, n in zip(js, held, full_a, count_a.tolist())]
+        nrd = [self.nrd[k] if h else row[:n] for k, h, row, n in zip(js, held, full_n, count_n.tolist())]
+        return amps, nrd, _moved(full_a, count_a), _moved(full_n, count_n)
+
+    def read(self, positions):
+        """(omega0, amplitudes, nrd) at each sample position."""
+        js, ts, omegas = zip(*[self._locate(p) for p in positions])
+        amps, nrd, _, _ = self._rows(js, ts)
+        return list(zip(omegas, amps, nrd))
+
+    def at(self, position):
+        """(omega0, amplitudes, nrd) at a sample position: the one-position
+        call of `read`."""
+        return self.read([position])[0]
+
+    def periods(self, total: int) -> _PeriodTable:
+        """The periods that tile [0, total), from sample 0 on, as a table:
+        each period is P = round(2 pi / omega0) samples long, with the
+        parameters read at its own start."""
+        position, rows = 0, []
         while position < total:
-            omega0, amps, nrd = self.at(position)
+            j, t, omega0 = self._locate(position)
             if not omega0 > 0:
                 raise ValueError(f"non-positive interpolated omega0 at sample {position}")
             period = int(round(TWO_PI / omega0))
-            yield position, period, amps, nrd
+            rows.append((position, period, j, t))
             position += period
+        positions, lengths, js, ts = zip(*rows)
+        amps, nrd, amps_moved, nrd_moved = self._rows(js, ts)
+        return _PeriodTable(np.array(positions), np.array(lengths), amps, nrd, amps_moved, nrd_moved)
+
+
+def _moved(full, sizes):
+    """Whether each row's first `sizes` entries differ from the previous
+    row's, as `np.array_equal` tells of the cut rows (the first row's do)."""
+    moved = np.ones(sizes.size, dtype=bool)
+    inside = np.arange(full.shape[1]) < sizes[1:, None]
+    moved[1:] = (sizes[1:] != sizes[:-1]) | ((full[1:] != full[:-1]) & inside).any(axis=1)
+    return moved
+
+
+@dataclass(frozen=True)
+class _PeriodTable:
+    """A plan's periods, one row each: start `position`, length `period`,
+    amplitudes and NRD (rows may share arrays; none is written), and
+    whether each row's amplitudes and NRD differ from the previous row's.
+    Iterating gives the rows as (position, period, amps, nrd)."""
+
+    position: np.ndarray
+    period: np.ndarray
+    amps: list[np.ndarray]
+    nrd: list[np.ndarray]
+    amps_moved: np.ndarray
+    nrd_moved: np.ndarray
+
+    def __iter__(self):
+        return zip(self.position.tolist(), self.period.tolist(), self.amps, self.nrd)
+
+    def commands(self, with_nrd: bool):
+        """The rows that start a new command, and each row's command
+        number.  A command is a row's length and amplitudes, and its NRD
+        when `with_nrd`; a new one starts wherever they differ from the
+        previous row's."""
+        new = self.amps_moved | self.nrd_moved if with_nrd else self.amps_moved.copy()
+        new[1:] |= self.period[1:] != self.period[:-1]
+        return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +289,8 @@ def _inject_harmonic(stack, row, c, omega, half_width):
     `row`, `c` and `omega` hold one row index, one complex amplitude and
     one angular frequency per harmonic.  Each harmonic writes the
     2 * half_width + 1 bins around its peak that lie in [0, n/2); each bin
-    sums its contributions in the order the harmonics are given.
+    sums its contributions in the order the harmonics are given (one
+    `np.bincount` per part), then adds the sum to what it holds.
     """
     n = stack.shape[-1]
     k_center = np.round(omega * n / TWO_PI - 0.5).astype(np.int64)
@@ -212,7 +299,11 @@ def _inject_harmonic(stack, row, c, omega, half_width):
     c, omega = c[:, None], omega[:, None]
     images = c * sine_window_spectrum(n, nu - omega) + np.conj(c) * sine_window_spectrum(n, nu + omega)
     inside = (k >= 0) & (k < n // 2)
-    np.add.at(stack, (np.broadcast_to(row[:, None], k.shape)[inside], k[inside]), images[inside])
+    flat = (row[:, None] * n + k)[inside]
+    images = images[inside]
+    # real and imaginary parts sum apart, as complex addition does
+    stack.real[...] += np.bincount(flat, images.real, stack.size).reshape(stack.shape)
+    stack.imag[...] += np.bincount(flat, images.imag, stack.size).reshape(stack.shape)
 
 
 def synth_fre(plan: SynthesisPlan) -> AudioBuffer:
@@ -305,44 +396,52 @@ def _period_wave(period, amps, nrd):
     return np.sin(args) @ np.asarray(amps[:count])
 
 
+def _overlap_add(starts, sizes, samples):
+    """Add consecutive pieces of `samples`, `sizes[i]` long, each at
+    `starts[i]`, in one `np.bincount`: every output sample sums its pieces
+    in their order, as slice adds onto zeros would, so the result is
+    bitwise theirs."""
+    index = np.arange(samples.size) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return np.bincount(index, samples)
+
+
 def synth_tim(plan: SynthesisPlan) -> AudioBuffer:
     """Combined frequency/time-domain synthesis.
 
-    Periods are generated one at a time (length P = round(2 pi / omega0)
-    from parameters interpolated at the period's own position), placed at
-    cumulative offsets, and joined by circularly extending both sides of
-    each junction by `_TIM_EXTENSION` samples and crossfading with a
-    piecewise-linear ramp over the overlap.
+    Periods come from the plan's period table (`_ParamTrack.periods`:
+    length P = round(2 pi / omega0) from parameters interpolated at the
+    period's own position), are placed at cumulative offsets, and are
+    joined by circularly extending both sides of each junction by
+    `_TIM_EXTENSION` samples and crossfading with a piecewise-linear ramp
+    over the overlap.
 
-    One wave is kept: a period whose command (its length, amplitudes and
-    NRD) equals the last one's adds that wave again.
+    A wave is built only where the command (a period's length, amplitudes
+    and NRD) changes; the periods that repeat it add it again.  All periods
+    are overlap-added in one pass (`_overlap_add`), each sample summing its
+    periods in period order.
     """
     total = plan.total_length
     ext = _TIM_EXTENSION
     ramp = (np.arange(1, 2 * ext + 1)) / (2 * ext + 1.0)
-    periods = []  # (start, period circularly extended by ext samples on each side)
-    command = None
     track = _ParamTrack(plan)
     track.check_nrd()
-    for position, period, amps, nrd in track.periods(total):
-        same = command is not None and command[0] == period
-        if not (same and np.array_equal(command[1], amps) and np.array_equal(command[2], nrd)):
-            wave = np.take(_period_wave(period, amps, nrd), np.arange(-ext, period + ext), mode="wrap")
-            command = (period, amps, nrd)
-        periods.append((position, wave))
-
-    last_start, last_wave = periods[-1]
+    table = track.periods(total)
+    new, command = table.commands(with_nrd=True)
+    waves = []
+    for i in new:
+        period = int(table.period[i])
+        wave = _period_wave(period, table.amps[i], table.nrd[i])
+        waves.append(np.take(wave, np.arange(-ext, period + ext), mode="wrap"))
+    # each period circularly extended by ext samples on each side, so that
     # out[ext + j] is output sample j; the last period ends at or past total
-    out = np.zeros(last_start + last_wave.size)
-    for i, (start, wave) in enumerate(periods):
-        # faded at every junction but not at the plan's start or end
-        gain = np.ones(wave.size)
-        if i > 0:
-            gain[: 2 * ext] = ramp
-        if i + 1 < len(periods):
-            gain[-2 * ext :] = 1.0 - ramp
-        out[start : start + wave.size] += gain * wave
-
+    sizes = table.period + 2 * ext
+    samples = np.concatenate([waves[k] for k in command])
+    # faded at every junction but not at the plan's start or end
+    gain = np.ones(samples.size)
+    ends = np.cumsum(sizes)
+    gain[ends[:-1, None] + np.arange(2 * ext)] = ramp
+    gain[ends[:-1, None] - np.arange(2 * ext, 0, -1)] = 1.0 - ramp
+    out = _overlap_add(table.position, sizes, gain * samples)
     return AudioBuffer(out[ext : ext + total], plan.sample_rate)
 
 
@@ -429,7 +528,10 @@ def _rendered_line_magnitudes(response, period, count):
     """Line magnitudes 1..count that a response renders when it is
     overlap-added at period offsets: those of the response folded into one
     period."""
-    folded = np.pad(response, (0, -response.size % period)).reshape(-1, period).sum(axis=0)
+    short = -response.size % period
+    if short:
+        response = np.concatenate([response, np.zeros(short)])
+    folded = response.reshape(-1, period).sum(axis=0)
     return 2.0 * np.abs(np.fft.fft(folded)[1 : 1 + count]) / period
 
 
@@ -459,7 +561,9 @@ def _tilt_compensated_model(amps, pulse_samples, period):
     rolled = log_target[-1] - _GLO_ROLLOFF_DB * db * np.arange(1, lines - count + 1)
     log_level = np.concatenate([log_target, np.maximum(rolled, stop)])
     log_response = log_level - np.log(_rendered_line_magnitudes(pulse_samples, period, lines))
-    cepstrum = np.fft.irfft(np.pad(log_response, (1, 1 - period % 2), mode="edge"), period)
+    # DC, and an even P's Nyquist bin, hold their nearest line's value
+    edges = log_response[:1], log_response, log_response[-1:] if period % 2 == 0 else log_response[:0]
+    cepstrum = np.fft.irfft(np.concatenate(edges), period)
     # fold: each negative quefrency onto its positive mirror; 0 and an even
     # P's P/2 are their own mirrors
     cepstrum[1 : (period + 1) // 2] *= 2.0
@@ -470,37 +574,37 @@ def _tilt_compensated_model(amps, pulse_samples, period):
 def synth_glo(plan: SynthesisPlan) -> AudioBuffer:
     """Physiologically inspired synthesis.
 
-    Per period: synthesize an LF glottal pulse of the local period
-    length, convolve it with a minimum-phase vocal-tract response built
-    from the interpolated command divided by the pulse's own line
-    magnitudes (`_tilt_compensated_model`), and overlap-add the 2P - 1
-    samples at the cumulative period offsets, clipped at the plan's
+    Per period of the plan's period table (`_ParamTrack.periods`): an LF
+    glottal pulse of the period's length, convolved with a minimum-phase
+    vocal-tract response built from the interpolated command divided by the
+    pulse's own line magnitudes (`_tilt_compensated_model`), and its 2P - 1
+    samples overlap-added at the period's offset, clipped at the plan's
     length.  Harmonic phase structure comes entirely from the pulse and
     the response, never from an NRD model.
 
-    One response is kept: a period whose command (its length and
-    amplitudes) equals the last one adds that response again.  Any other
-    command gets its own pulse and response, and, when DEBUG is on, a
-    DEBUG record of how closely the response renders the commanded lines.
+    A pulse and response are built only where the command (a period's
+    length and amplitudes) changes, each with, when DEBUG is on, a DEBUG
+    record of how closely it renders the commanded lines; the periods that
+    repeat the command add it again.  All periods are overlap-added in one
+    pass (`_overlap_add`), each sample summing its periods in period order.
     """
     total = plan.total_length
-    out = np.zeros(total)
-    command = None
-    for position, period, amps, _ in _ParamTrack(plan).periods(total):
-        if command is None or command[0] != period or not np.array_equal(command[1], amps):
-            pulse = synth_glottal_pulse(period).samples
-            response = np.convolve(pulse, _tilt_compensated_model(amps, pulse, period))
-            if log.isEnabledFor(logging.DEBUG):
-                count = min(amps.size, harmonic_count(period))
-                rendered = _rendered_line_magnitudes(response, period, count)
-                log.debug(
-                    "GLO period %d: %d commanded lines rendered within %.2e dB",
-                    period, count, np.max(np.abs(20.0 * np.log10(rendered / amps[:count]))),
-                )
-            command = (period, amps)
-        out[position : position + response.size] += response[: total - position]
-
-    return AudioBuffer(out, plan.sample_rate)
+    table = _ParamTrack(plan).periods(total)
+    new, command = table.commands(with_nrd=False)
+    responses = []
+    for i in new:
+        period, amps = int(table.period[i]), table.amps[i]
+        pulse = synth_glottal_pulse(period).samples
+        responses.append(np.convolve(pulse, _tilt_compensated_model(amps, pulse, period)))
+        if log.isEnabledFor(logging.DEBUG):
+            count = min(amps.size, harmonic_count(period))
+            rendered = _rendered_line_magnitudes(responses[-1], period, count)
+            log.debug(
+                "GLO period %d: %d commanded lines rendered within %.2e dB",
+                period, count, np.max(np.abs(20.0 * np.log10(rendered / amps[:count]))),
+            )
+    out = _overlap_add(table.position, 2 * table.period - 1, np.concatenate([responses[k] for k in command]))
+    return AudioBuffer(out[:total], plan.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +677,7 @@ def compare_engines(
     # the plan at each measured frame's centre
     centre = {i: i * (frame_len // 2) + frame_len // 2 for i in voiced_a.keys() | voiced_b.keys()}
     track = _ParamTrack(plan) if plan is not None else None
-    command = {i: track.at(c) for i, c in centre.items()} if track is not None else {}
+    command = dict(zip(centre, track.read(centre.values()))) if track is not None else {}
     diffs = []
     for i in common:
         fa, fb = voiced_a[i], voiced_b[i]

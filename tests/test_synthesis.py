@@ -1,5 +1,7 @@
 """Tests for the three synthesis engines and the comparison report."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +195,85 @@ def reference_synth_tim(plan):
     return out[ext : ext + total]
 
 
+def reference_periods(plan):
+    """`_ParamTrack.periods` as it stood: one interpolation per period, each
+    a fresh read of the pair around the period's start, yielding (position,
+    period, amps, nrd) as the walk goes.  The reference the period table
+    must reproduce bit for bit, row by row."""
+    voiced = plan.voiced_frames()
+    kept = [harmonic_amplitudes(fp) for fp in voiced]
+    a = np.array([fp.frame_index * plan.hop + plan.frame_len // 2 for fp in voiced], dtype=np.int64)
+
+    def at(position):
+        j = min(max(int(np.searchsorted(a, position, side="right")), 1), a.size - 1)
+        t = 1.0 if j == 0 else min(max(float((position - a[j - 1]) / (a[j] - a[j - 1])), 0.0), 1.0)
+        right, ra = voiced[j], kept[j]
+        if t == 1.0:
+            return right.omega0, ra, right.nrd.copy()
+        left, la = voiced[j - 1], kept[j - 1]
+        omega0 = left.omega0 + t * (right.omega0 - left.omega0)
+        c, n = min(la.size, ra.size), max(la.size, ra.size)
+        amps = np.zeros(n)
+        log_ratio = np.log(np.maximum(ra[:c], 1e-300)) - np.log(np.maximum(la[:c], 1e-300))
+        amps[:c] = la[:c] * np.exp(t * log_ratio)
+        amps[c:] = (la if la.size >= ra.size else ra)[c:]
+        nrd = np.zeros(n)
+        cn = min(left.nrd.size, right.nrd.size)
+        nrd[:cn] = left.nrd[:cn] + t * (right.nrd[:cn] - left.nrd[:cn])
+        longer = left.nrd if left.nrd.size >= right.nrd.size else right.nrd
+        nrd[cn : longer.size] = longer[cn:]
+        return omega0, amps, nrd
+
+    position = 0
+    while position < plan.total_length:
+        omega0, amps, nrd = at(position)
+        if not omega0 > 0:
+            raise ValueError(f"non-positive interpolated omega0 at sample {position}")
+        period = int(round(2 * np.pi / omega0))
+        yield position, period, amps, nrd
+        position += period
+
+
+def reference_synth_glo(plan):
+    """`synth_glo` as it stood: the per-period walk of `reference_periods`,
+    a pulse and a response for each new command, built with `np.pad` for
+    the cepstrum's edges and the fold, and one slice add per period: the
+    reference the table-driven, one-pass render must reproduce bit for bit.
+    Returns the samples."""
+
+    def line_magnitudes(response, period, count):
+        folded = np.pad(response, (0, -response.size % period)).reshape(-1, period).sum(axis=0)
+        return 2.0 * np.abs(np.fft.fft(folded)[1 : 1 + count]) / period
+
+    def tract(amps, pulse, period):
+        lines = (period - 1) // 2
+        count = min(len(amps), lines)
+        target = np.asarray(amps[:count], dtype=np.float64)
+        if count == 0 or not np.all(target > 0):
+            raise ValueError("GLO needs at least one commanded line, every one of positive amplitude")
+        log_target = np.log(target)
+        db = np.log(10.0) / 20.0
+        stop = min(log_target[-1], log_target.max() - 60.0 * db)
+        rolled = log_target[-1] - 6.0 * db * np.arange(1, lines - count + 1)
+        log_level = np.concatenate([log_target, np.maximum(rolled, stop)])
+        log_response = log_level - np.log(line_magnitudes(pulse, period, lines))
+        cepstrum = np.fft.irfft(np.pad(log_response, (1, 1 - period % 2), mode="edge"), period)
+        cepstrum[1 : (period + 1) // 2] *= 2.0
+        cepstrum[period // 2 + 1 :] = 0.0
+        return np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), period)
+
+    total = plan.total_length
+    out = np.zeros(total)
+    command = None
+    for position, period, amps, _ in reference_periods(plan):
+        if command is None or command[0] != period or not np.array_equal(command[1], amps):
+            pulse = synth_glottal_pulse(period).samples
+            response = np.convolve(pulse, tract(amps, pulse, period))
+            command = (period, amps)
+        out[position : position + response.size] += response[: total - position]
+    return out
+
+
 @st.composite
 def random_plans(draw):
     """Plans of 1-7 frames at a frame length of 256 or 512: unvoiced gaps,
@@ -228,6 +309,44 @@ def random_plans(draw):
             )
         frames.append(FrameParams(frame_index=m, voiced=True, **prev))
     grid = (count - 1) * (frame_len // 2) + frame_len
+    total = grid + draw(st.integers(-(frame_len // 2) + 1, frame_len))
+    return SynthesisPlan(frames=frames, sample_rate=RATE, frame_len=frame_len, total_length=total)
+
+
+@st.composite
+def track_plans(draw):
+    """Plans of 1-4 voiced frames, each with its own line count (1-8, no
+    two alike), f0 in [60, 500] Hz, amplitudes and NRD, with or without an
+    envelope, and an unvoiced gap of 1-2 frames before, between or after
+    them; the length is at, under or past the grid's."""
+    frame_len = draw(st.sampled_from([256, 512, 1024]))
+    voiced = draw(st.integers(1, 4))
+    gap_at = draw(st.integers(0, voiced))
+    gap = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    line_counts = rng.choice(np.arange(1, 9), voiced, replace=False)
+    frames = []
+    for k, lines in enumerate(line_counts.tolist() + [None]):
+        if k == gap_at:
+            frames += [FrameParams(frame_index=len(frames) + g, voiced=False) for g in range(gap)]
+        if lines is None:
+            break
+        envelope = None
+        if draw(st.booleans()):
+            pairs = rng.uniform(0.3, 0.95, 2) * np.exp(1j * rng.uniform(0.1, 3.0, 2))
+            envelope = LpcModel(np.concatenate([pairs, np.conj(pairs), [rng.uniform(-0.9, 0.9)]]), 1.0)
+        frames.append(
+            FrameParams(
+                frame_index=len(frames),
+                voiced=True,
+                omega0=2 * np.pi * 60.0 * (500.0 / 60.0) ** rng.uniform() / RATE,
+                a0=float(rng.uniform(0.1, 1.0)),
+                nrd=rng.uniform(0.0, 1.0, lines),
+                magnitudes=rng.uniform(0.05, 1.0, lines),
+                envelope=envelope,
+            )
+        )
+    grid = (len(frames) - 1) * (frame_len // 2) + frame_len
     total = grid + draw(st.integers(-(frame_len // 2) + 1, frame_len))
     return SynthesisPlan(frames=frames, sample_rate=RATE, frame_len=frame_len, total_length=total)
 
@@ -883,6 +1002,29 @@ class TestSameRenders:
     def test_fre_and_tim_match_the_per_frame_and_per_period_loops(self, plan):
         np.testing.assert_array_equal(synth_fre(plan).samples, reference_synth_fre(plan))
         np.testing.assert_array_equal(synth_tim(plan).samples, reference_synth_tim(plan))
+
+    @given(plan=random_plans())
+    @settings(max_examples=80, deadline=None)
+    def test_glo_matches_the_per_period_loop(self, plan):
+        # where GLO raises, the loop raises the same exception
+        try:
+            want = reference_synth_glo(plan)
+        except Exception as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                synth_glo(plan)
+        else:
+            np.testing.assert_array_equal(synth_glo(plan).samples, want)
+
+    @given(plan=track_plans())
+    @settings(max_examples=80, deadline=None)
+    def test_period_table_is_the_per_period_walk(self, plan):
+        got = list(_ParamTrack(plan).periods(plan.total_length))
+        want = list(reference_periods(plan))
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        for (_, _, amps, nrd), (_, _, want_amps, want_nrd) in zip(got, want):
+            for value, expected in ((amps, want_amps), (nrd, want_nrd)):
+                assert value.shape == expected.shape and value.dtype == expected.dtype
+                assert value.tobytes() == expected.tobytes()
 
     def test_kept_amplitudes_are_read_only(self):
         # `at` hands the last frame's kept amplitudes out as they are from
