@@ -561,9 +561,8 @@ def _tilt_compensated_model(amps, pulse_samples, period):
     rolled = log_target[-1] - _GLO_ROLLOFF_DB * db * np.arange(1, lines - count + 1)
     log_level = np.concatenate([log_target, np.maximum(rolled, stop)])
     log_response = log_level - np.log(_rendered_line_magnitudes(pulse_samples, period, lines))
-    # DC, and an even P's Nyquist bin, hold their nearest line's value
-    edges = log_response[:1], log_response, log_response[-1:] if period % 2 == 0 else log_response[:0]
-    cepstrum = np.fft.irfft(np.concatenate(edges), period)
+    nyquist = log_response[-1:] if period % 2 == 0 else log_response[:0]
+    cepstrum = np.fft.irfft(np.concatenate([log_response[:1], log_response, nyquist]), period)
     # fold: each negative quefrency onto its positive mirror; 0 and an even
     # P's P/2 are their own mirrors
     cepstrum[1 : (period + 1) // 2] *= 2.0
