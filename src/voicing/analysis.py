@@ -28,7 +28,7 @@ _ENVELOPE_FLOOR_DB = -100.0
 _VOICING_THRESHOLD = 0.35  # share of frame energy a pitch's harmonics must hold
 _ANALYSIS_LPC_ORDER = 18  # envelope order of a frame with at least nine lines
 _SOLVE_CHUNK = 1 << 15  # kernel entries (frames x lines x lines) per stacked harmonic solve
-_PITCH_CHUNK = 8  # frames per stacked pitch search, whose harmonic axis holds up to ~2,000 entries a frame
+_PITCH_CHUNK = 8  # frames per stacked pitch search, whose pair axis holds candidates x 16 peaks a frame
 F0_RANGE_HZ = (60.0, 500.0)  # fundamentals that pitch search and automatic seeding look for
 
 
@@ -82,9 +82,9 @@ def average_nrd(track) -> np.ndarray:
         vectors = [p.nrd for p in track.periods]
     else:
         vectors = [np.asarray(v, dtype=np.float64) for v in track]
-    if not vectors:
+    width = max((v.size for v in vectors), default=0)
+    if width == 0:
         raise ValueError("cannot average an empty track")
-    width = max(v.size for v in vectors)
     out = np.zeros(width)
     for ell in range(width):
         vals = np.array([v[ell] for v in vectors if v.size > ell])
@@ -425,12 +425,13 @@ def _split_rows(values, row, rows):
     return np.split(values, np.cumsum(np.bincount(row, minlength=rows))[:-1])
 
 
-def _sums_in_order(values, row, rows):
-    """Each row's sum of its (at most 16) `values` taken left to right, as
-    `np.cumsum` adds them, given each value's `row`, sorted by row."""
-    table = np.zeros((rows, 16))
-    table[row, np.arange(row.size) - np.searchsorted(row, row)] = values
-    return np.cumsum(table, axis=1)[:, -1]
+def _sums_in_order(values, row, column, rows):
+    """Each row's sum of its nonnegative `values`, given each value's `row`
+    and `column` (0..15, one value a cell), added column by column from the
+    left: the empty cells add zeros, which change no sum."""
+    table = np.zeros((16, rows))
+    table[column, row] = values
+    return sum(table[1:], table[0])
 
 
 def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
@@ -451,10 +452,13 @@ def estimate_pitch_frame(spectrum, sample_rate: float) -> float | None:
 
 
 def _pitch_frames(spectra, sample_rate: float) -> np.ndarray:
-    """`estimate_pitch_frame` of each row of `spectra` (NaN for None), the
-    harmonics of every candidate of every row on one axis.  Only a row's
-    peak order (its own `np.argsort`, so that ties fall as they would
-    alone), its sorted searches, best pick and polish sums go row by row."""
+    """`estimate_pitch_frame` of each row of `spectra` (NaN for None), every
+    (candidate, peak) pair of every row on one axis.  A peak at f can hit
+    only the harmonics h of a candidate F within the tolerance of it, h =
+    round(f/F) alone while that is under F/2, and it hits the lowest of
+    them to which it is the nearest peak.  Only a row's peak order (its own
+    `np.argsort`, so that ties fall as they would alone), its candidate
+    chain, best pick and polish sums go row by row."""
     fmin, fmax = F0_RANGE_HZ
     n = spectra.shape[-1]
     bin_hz = sample_rate / n
@@ -496,40 +500,44 @@ def _pitch_frames(spectra, sample_rate: float) -> np.ndarray:
     top_freq = np.max(pfreq, axis=1, where=pfreq < np.inf, initial=0.0)
     f_cap = np.minimum(min(5000.0, 0.45 * sample_rate), top_freq * 1.3 + bin_hz)
     h_max = np.maximum(1, (f_cap[crow] / cands).astype(int))
-    # every harmonic of every candidate, candidate by candidate: harmonic
-    # h[e] of candidate c[e], in row r[e]
-    c = np.repeat(np.arange(cands.size), h_max)
-    r = crow[c]
-    h = np.arange(c.size) - np.repeat(np.cumsum(h_max) - h_max - 1, h_max)
-    target = h * cands[c]
-    # the peak nearest to each (the first in amplitude order on ties): one of
-    # the two about it in frequency, since the peaks lie at least two bins apart
+    tol = np.maximum(0.12 * cands, bin_hz)
+    # every (candidate, peak) pair, a row's peaks in frequency order: pair
+    # (c, i) is candidate c and column i + 1 of its row of `ext`, the row's
+    # frequencies in ascending order between -inf and inf
     by_freq = np.argsort(pfreq, axis=1)
     ascending = np.take_along_axis(pfreq, by_freq, axis=1)
-    above = np.concatenate([np.searchsorted(a, t) for a, t in zip(ascending, _split_rows(target, r, frames.size))])
-    above = np.minimum(above, npk[r] - 1)
-    below = np.maximum(above - 1, 0)
-    lo, hi = by_freq[r, below], by_freq[r, above]
-    d_lo, d_hi = np.abs(pfreq[r, lo] - target), np.abs(pfreq[r, hi] - target)
-    up = (d_hi < d_lo) | ((d_hi == d_lo) & (hi < lo))
-    nearest = np.where(up, hi, lo)
-    hit = np.where(up, d_hi, d_lo) <= np.maximum(0.12 * cands, bin_hz)[c]
-    # a peak explains at most one harmonic per candidate: the lowest one.  The
-    # nearest peak's frequency rank never falls along h, so with each
-    # candidate's ranks offset past the last one's, a harmonic's peak was
-    # claimed before iff it is the running maximum of the ranks hit so far
-    rank = np.where(up, above, below) + 16 * c
-    claimed = np.maximum.accumulate(np.where(hit, rank, -1))
-    hit[1:] &= claimed[:-1] != rank[1:]
-    hits = np.flatnonzero(hit)
-    hc = c[hits]
+    ext = np.hstack([np.full((frames.size, 1), -np.inf), ascending, np.full((frames.size, 1), np.inf)])
+    # a missing peak sits at minus the sample rate, where no h >= 1 is within tolerance
+    f = np.where(ascending < np.inf, ascending, -sample_rate)[crow, :, None]
+    # the harmonics a peak can hit: round(f/F), and `spread` either side once the tolerance reaches F/2
+    spread = int(np.max(tol / cands, initial=0.0) + 0.5 + 1e-9)
+    h = np.rint(f / cands[:, None, None]) + np.arange(-spread, spread + 1)
+    target = h * cands[:, None, None]
+    d = np.abs(f - target)
+    e = np.flatnonzero((1 <= h) & (h <= h_max[:, None, None]) & (d <= tol[:, None, None]))
+    h, target, d = h.ravel()[e], target.ravel()[e], d.ravel()[e]
+    pair = e // (2 * spread + 1)
+    c, i = np.divmod(pair, 16)
+    r = crow[c]
+    # and it hits only as the peak nearest the target, the first in amplitude
+    # order on ties: nearer than its neighbour on the target's side (column i
+    # or i + 2 of `ext`; no pad ties), since the peaks lie at least two bins apart
+    q = i + np.where(f.ravel()[pair] < target, 2, 0)
+    d_q = np.abs(ext[r, q] - target)
+    nearest = (d < d_q) | ((d == d_q) & (by_freq[r, i] < by_freq[r, np.minimum(q, 16) - 1]))
+    # a peak explains at most one harmonic per candidate, the lowest one; in
+    # frequency order each candidate's hits come out in harmonic order
+    pair = pair[nearest]
+    lowest = np.flatnonzero(nearest)[np.append(True, pair[1:] != pair[:-1])[: pair.size]]
+    h, hc, hr, hi = h[lowest].astype(int), c[lowest], r[lowest], i[lowest]
+    hp = by_freq[hr, hi]  # each hit's peak, in amplitude order
     last = np.append(hc[1:] != hc[:-1], True)[: hc.size]
     n_hit = np.bincount(hc, minlength=cands.size)
     # matched share of the harmonics up to the highest matched one
     top_h = np.ones(cands.size, dtype=int)
-    top_h[hc[last]] = h[hits[last]]
+    top_h[hc[last]] = h[last]
     # left-to-right sums, so that near-ties resolve as a per-harmonic loop would
-    explained = _sums_in_order(pamp[r[hits], nearest[hits]], hc, cands.size)
+    explained = _sums_in_order(pamp[hr, hp], hc, hi, cands.size)
     score = np.where(n_hit > 0, explained * (n_hit / top_h), -np.inf)
 
     # each row's best candidate (the first of its highest scores) and the
@@ -538,9 +546,9 @@ def _pitch_frames(spectra, sample_rate: float) -> np.ndarray:
     best = np.full(frames.size, -1)
     for i in np.flatnonzero(np.bincount(crow, weights=n_hit, minlength=frames.size) > 0):
         best[i] = first[i] + np.argmax(score[first[i] : first[i] + ncand[i]])
-    chosen = hits[hc == best[crow[hc]]]
-    mr, hs = r[chosen], h[chosen].astype(np.float64)
-    fs_, ws = pfreq[mr, nearest[chosen]], pamp[mr, nearest[chosen]]
+    chosen = hc == best[hr]
+    mr, hs = hr[chosen], h[chosen].astype(np.float64)
+    fs_, ws = pfreq[mr, hp[chosen]], pamp[mr, hp[chosen]]
     nums, dens = _split_rows(ws * hs * fs_, mr, frames.size), _split_rows(ws * hs**2, mr, frames.size)
     for i, num, den in zip(frames, nums, dens):
         if num.size:
@@ -550,7 +558,7 @@ def _pitch_frames(spectra, sample_rate: float) -> np.ndarray:
     near = np.round(fs_ / bin_hz - 0.5).astype(int)[:, None] + np.arange(-2, 3)
     inside = (near >= 0) & (near < mags.shape[1])
     power = np.cumsum(np.where(inside, mags[mr[:, None], np.clip(near, 0, mags.shape[1] - 1)] ** 2, 0.0), axis=1)
-    weak = _sums_in_order(power[:, -1], mr, frames.size) < _VOICING_THRESHOLD * energy
+    weak = _sums_in_order(power[:, -1], mr, hi[chosen], frames.size) < _VOICING_THRESHOLD * energy
     f0[frames[weak | ~((fmin * 0.5 <= f0[frames]) & (f0[frames] <= fmax * 1.5))]] = np.nan
     return f0
 
@@ -693,13 +701,13 @@ def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
 
     The measurement is one stacked pass, every frame's numbers bitwise what
     it would get alone.  The pitch search takes `_PITCH_CHUNK` frames at a
-    time (`_pitch_frames`).  The voiced frames are grouped by line count,
-    and each group is cut into chunks of at most `_SOLVE_CHUNK` kernel
-    entries (frames x lines x lines, at least one frame), which bounds the
-    pass's memory and keeps the kernels in cache: each chunk fills its
-    kernels in one broadcast, solves all its systems in one
-    `_solve_harmonics` call, and takes its noise floors, 12 dB gates and
-    NRD vectors together.
+    time (`_pitch_frames`).  The voiced frames are grouped by line count.
+    A group solves in chunks of at most `_SOLVE_CHUNK` kernel entries
+    (frames x lines x lines, at least one frame), which bounds the solve's
+    memory and keeps the kernels in cache: each chunk fills its kernels in
+    one broadcast and solves all its systems in one `_solve_harmonics`
+    call.  The group then takes its amplitudes, phases, NRD vectors, noise
+    floors and 12 dB gates together, and builds each frame's record once.
     """
     n = int(frame_len)
     hop = n // 2
@@ -714,42 +722,43 @@ def analyze_frames(signal: AudioBuffer, frame_len: int = 1024) -> list[FramePara
     spectra = odft(np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * w)
     parts = np.split(spectra, range(_PITCH_CHUNK, len(spectra), _PITCH_CHUNK))
     f0 = np.concatenate([_pitch_frames(part, rate) for part in parts])
-    frames = [FrameParams(frame_index=m, voiced=False, unvoiced_reason="no pitch") for m in range(len(spectra))]
+    frames = [None] * len(spectra)
+    for m in np.flatnonzero(np.isnan(f0)).tolist():
+        frames[m] = FrameParams(frame_index=m, voiced=False, unvoiced_reason="no pitch")
     voiced = np.flatnonzero(~np.isnan(f0))
     w0 = TWO_PI * f0[voiced] / rate
     counts = np.maximum(1, np.minimum(np.floor(0.98 * np.pi / w0).astype(int), n // 3))
     for count in np.unique(counts):
         group = np.flatnonzero(counts == count)
         step = max(1, _SOLVE_CHUNK // count**2)
-        for chunk in np.split(group, range(step, group.size, step)):
-            spec = spectra[voiced[chunk]]
-            c, k_star, own = _solve_harmonics(spec, w0[chunk], count, n)
-            amps = 2.0 * np.abs(c)
-            phases = np.angle(c) + np.pi / 2
-            nrd = nrd_from_phases(phases)
-            floors = np.maximum(_noise_floors(np.abs(spec[:, :half]), k_star), quant_floor)
-            # each line's own image in its peak bin, the other lines' leakage
-            # already solved out
-            with np.errstate(divide="ignore"):
-                solid = 20.0 * np.log10(np.abs(c * own) / floors[:, None]) > 12.0
-            # trailing harmonics at or under the frame's noise floor are not
-            # measurements; keep the contiguous run up to the last solid one
-            kept = count - np.argmax(solid[:, ::-1], axis=1)
-            for row, i in enumerate(chunk):
-                m = int(voiced[i])
-                if not solid[row].any():
-                    frames[m] = FrameParams(frame_index=m, voiced=False, unvoiced_reason="no line above the floor")
-                    continue
-                k = kept[row]
-                frames[m] = FrameParams(
-                    frame_index=m,
-                    voiced=True,
-                    omega0=float(w0[i]),
-                    a0=float(amps[row, 0]),
-                    phi0=float(phases[row, 0]),
-                    nrd=nrd[row, :k],
-                    magnitudes=amps[row, :k],
-                )
+        chunks = np.split(group, range(step, group.size, step))
+        solved = [_solve_harmonics(spectra[voiced[chunk]], w0[chunk], count, n) for chunk in chunks]
+        c, k_star, own = (np.concatenate(parts) for parts in zip(*solved))
+        rows = voiced[group]
+        amps = 2.0 * np.abs(c)
+        phases = np.angle(c) + np.pi / 2
+        nrd = nrd_from_phases(phases)
+        floors = np.maximum(_noise_floors(np.abs(spectra[rows, :half]), k_star), quant_floor)
+        # each line's own image in its peak bin, the other lines' leakage
+        # already solved out
+        with np.errstate(divide="ignore"):
+            solid = 20.0 * np.log10(np.abs(c * own) / floors[:, None]) > 12.0
+        # trailing harmonics at or under the frame's noise floor are not
+        # measurements; keep the contiguous run up to the last solid one
+        kept = count - np.argmax(solid[:, ::-1], axis=1)
+        for row, (m, any_solid) in enumerate(zip(rows.tolist(), solid.any(axis=1).tolist())):
+            if not any_solid:
+                frames[m] = FrameParams(frame_index=m, voiced=False, unvoiced_reason="no line above the floor")
+                continue
+            frames[m] = FrameParams(
+                frame_index=m,
+                voiced=True,
+                omega0=float(w0[group[row]]),
+                a0=float(amps[row, 0]),
+                phi0=float(phases[row, 0]),
+                nrd=nrd[row, : kept[row]],
+                magnitudes=amps[row, : kept[row]],
+            )
     return frames
 
 

@@ -463,6 +463,12 @@ class TestNrdAlgebra:
         with pytest.raises(ValueError):
             average_nrd([])
 
+    def test_average_of_empty_vectors_rejected(self):
+        # vectors that carry no harmonic leave nothing to average either
+        for track in ([np.zeros(0)], [np.zeros(0), np.array([])]):
+            with pytest.raises(ValueError, match="empty track"):
+                average_nrd(track)
+
 
 class TestLpcEnvelope:
     def test_flat_magnitudes(self):
@@ -976,19 +982,23 @@ class TestPitchEstimation:
         f0=st.floats(60.0, 500.0),
         amps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
         noisy=st.booleans(),
+        n=st.sampled_from([256, 512, 1024, 2048]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_candidate_loop_on_tones(self, f0, amps, noisy, seed):
+    def test_matches_per_candidate_loop_on_tones(self, f0, amps, noisy, n, seed):
         # the vectorised peak refinement, candidate generation and scoring
         # give exactly the loop's f0 (or None) on any 1-8-line tone in range,
-        # clean or with white noise 40 dB down
+        # clean or with white noise 40 dB down, at four frame lengths.  At 256
+        # and 512 every candidate under two bins (172 and 86 Hz) has a
+        # tolerance of at least half of it, so a peak can lie within it of
+        # two of its harmonics
         rng = np.random.default_rng(seed)
-        x = make_harmonic_signal(f0, amps, rng.uniform(0, 1, len(amps)), 2048)
+        x = make_harmonic_signal(f0, amps, rng.uniform(0, 1, len(amps)), 2 * n)
         if noisy:
             x += 10 ** (-40 / 20) * np.sqrt(np.mean(x**2)) * rng.standard_normal(x.size)
-        w = make_sqrt_shifted_hanning(1024)
-        for off in (0, 512, 1024):
-            spec = odft(x[off : off + 1024] * w)
+        w = make_sqrt_shifted_hanning(n)
+        for off in (0, n // 2, n):
+            spec = odft(x[off : off + n] * w)
             assert estimate_pitch_frame(spec, RATE) == reference_pitch_frame(spec, RATE)
 
     def test_refined_isolated_peak_sits_at_its_bin_centre(self):
@@ -1023,6 +1033,19 @@ class TestPitchEstimation:
         # nearest to, and within tolerance of, both its 4th and 5th
         # harmonics, and explains only the 4th
         spec = isolated_peaks(512, {4: 1.0, 6: 0.9, 9: 0.5, 11: 0.45, 13: 0.3})
+        want = reference_pitch_frame(spec, RATE)
+        assert want is not None
+        assert estimate_pitch_frame(spec, RATE) == want
+
+    def test_wide_tolerance_hits_off_the_rounded_harmonic(self):
+        # at n = 256 a candidate under two bins (172 Hz) has a one-bin
+        # tolerance of over half of it, so a peak can hit a harmonic other
+        # than round(f/F): for the 107.7 Hz candidate the peak at 58.5 bins
+        # lies 46.8 fundamentals up, past the last harmonic searched (46)
+        # but within one bin of it, and for the 71.8 Hz one the peak at 2.5
+        # bins, its 3rd harmonic, is also within one bin of its 2nd, the
+        # lowest it explains
+        spec = isolated_peaks(256, {2: 0.9, 58: 0.3})
         want = reference_pitch_frame(spec, RATE)
         assert want is not None
         assert estimate_pitch_frame(spec, RATE) == want
@@ -1374,6 +1397,10 @@ class TestAnalyzeFrames:
         seed=1,
     )
     @example(frame_len=1024, segments=[("tone", 118.0, 30, 12), ("silence", 0, 1, 3), ("tone", 300.0, 20, 4)], seed=2)
+    # 17 frames, more than a pitch chunk, 15 of them 135-line frames of 80 Hz
+    # at n = 1024, which solve one to a chunk: one line-count group, measured
+    # after its solves, spans 15 solve chunks
+    @example(frame_len=1024, segments=[("tone", 80.0, 30, 10), ("noise", 0, 1, 2), ("tone", 80.0, 20, 6)], seed=3)
     def test_stacked_pass_matches_per_frame_loop(self, frame_len, segments, seed):
         # every frame of the stacked pass, voiced or not, is bitwise the one
         # the per-frame loop measures: f0 steps put the frames in several
